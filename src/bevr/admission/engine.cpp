@@ -1,7 +1,10 @@
 #include "bevr/admission/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "bevr/obs/flight_recorder.h"
 #include "bevr/obs/metrics.h"
@@ -12,6 +15,10 @@
 namespace bevr::admission {
 
 namespace {
+
+bool submits_before(const FlowRequest& a, const FlowRequest& b) {
+  return a.submit < b.submit;
+}
 
 /// Mutable run state shared by the event closures.
 struct Runner {
@@ -153,16 +160,33 @@ AdmissionReport run_admission(const ArrivalTrace& trace,
   if (!(config.warmup >= 0.0)) {
     throw std::invalid_argument("run_admission: warmup must be >= 0");
   }
-  Runner runner{policy, pi, config};
-  // The trace is sorted by submit, so scheduling in trace order gives
-  // simultaneous submits FIFO treatment matching their trace order.
+  // Validate the whole trace before replaying any of it. Every time
+  // must be finite except `cancel`, where +inf means "never cancels".
   for (const FlowRequest& req : trace.requests) {
-    if (req.submit < 0.0 || req.start < req.submit || !(req.duration > 0.0) ||
+    if (!std::isfinite(req.submit) || !std::isfinite(req.start) ||
+        !std::isfinite(req.duration) || !std::isfinite(req.rate) ||
+        std::isnan(req.cancel) || req.submit < 0.0 ||
+        req.start < req.submit || !(req.duration > 0.0) ||
         !(req.rate > 0.0)) {
       throw std::invalid_argument("run_admission: malformed trace request");
     }
-    runner.queue.schedule(req.submit,
-                          [&runner, req] { runner.submit(req); });
+  }
+  // Stream the submits in stable submit order (a hand-built trace may
+  // be unsorted). Each submit runs after every event due strictly
+  // before it and before every event queued for its own instant.
+  Runner runner{policy, pi, config};
+  std::vector<FlowRequest> sorted;
+  std::span<const FlowRequest> requests = trace.requests;
+  if (!std::is_sorted(requests.begin(), requests.end(), submits_before)) {
+    sorted.assign(requests.begin(), requests.end());
+    std::stable_sort(sorted.begin(), sorted.end(), submits_before);
+    requests = sorted;
+  }
+  for (const FlowRequest& req : requests) {
+    while (runner.queue.step_before(req.submit)) {
+    }
+    runner.queue.advance_to(req.submit);
+    runner.submit(req);
   }
   while (runner.queue.step()) {
   }

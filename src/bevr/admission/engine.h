@@ -15,6 +15,14 @@
 //      │                                             │
 //      └──────────── score π(allocated rate) ◀───────┘
 //
+// Submits are streamed, not scheduled: the driver walks the trace in
+// stable submit order and, before each submit at time t, runs every
+// event due strictly before t, so a submit runs before every event
+// queued for its own instant (a departure at exactly t frees its
+// capacity only after the submit's decision). The heap holds only
+// in-flight flows. Non-finite times, durations or rates throw
+// std::invalid_argument before anything runs; `cancel` may be +inf.
+//
 // Requests submitting before `warmup` are simulated (they occupy the
 // calendar and shape the load every later flow sees) but not scored.
 // Cancelled-before-start flows are simulated, counted, and unscored.

@@ -1,7 +1,10 @@
 #include "bevr/net2/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "bevr/obs/flight_recorder.h"
 #include "bevr/obs/metrics.h"
@@ -12,6 +15,10 @@
 namespace bevr::net2 {
 
 namespace {
+
+bool submits_before(const NetFlowRequest& a, const NetFlowRequest& b) {
+  return a.submit < b.submit;
+}
 
 /// Mutable run state shared by the event closures (the single-link
 /// admission Runner's shape, minus book-ahead and cancellation, which
@@ -96,7 +103,8 @@ struct Runner {
     }
     record_decision(
         decision.alternate ? "net2/route_alternate" : "net2/route_direct",
-        decision.alternate ? obs::FlightCode::kMark : obs::FlightCode::kAdmit,
+        decision.alternate ? obs::FlightCode::kRouteAlternate
+                           : obs::FlightCode::kAdmit,
         trace, flow_index);
     if (in_window) {
       ++admitted;
@@ -115,20 +123,38 @@ NetReport run_network(const NetTrace& trace, NetPolicy& policy,
   if (!(config.warmup >= 0.0)) {
     throw std::invalid_argument("run_network: warmup must be >= 0");
   }
-  Runner runner{policy, pi, config};
-  // The trace is sorted by submit, so scheduling in trace order gives
-  // simultaneous submits FIFO treatment matching their trace order.
+  // Validate the whole trace before replaying any of it.
   for (const NetFlowRequest& req : trace.requests) {
-    if (req.submit < 0.0 || !(req.duration > 0.0) || !(req.rate > 0.0)) {
+    if (!std::isfinite(req.submit) || !std::isfinite(req.duration) ||
+        !std::isfinite(req.rate) || req.submit < 0.0 ||
+        !(req.duration > 0.0) || !(req.rate > 0.0)) {
       throw std::invalid_argument("run_network: malformed trace request");
     }
-    runner.queue.schedule(req.submit, [&runner, req] { runner.submit(req); });
   }
-  while (runner.queue.step()) {
-    // The invariant-auditing sink: with auditing on, every event must
-    // leave the ledger inside its capacity envelope.
+  // The invariant-auditing sink: with auditing on, every event — each
+  // submit included — must leave the ledger inside its capacity
+  // envelope.
+  const auto audit = [&] {
     if (config.audit) policy.ledger().audit();
+  };
+  // Stream the submits in stable submit order (a hand-built trace may
+  // be unsorted). Each submit runs after every event due strictly
+  // before it and before every event queued for its own instant.
+  Runner runner{policy, pi, config};
+  std::vector<NetFlowRequest> sorted;
+  std::span<const NetFlowRequest> requests = trace.requests;
+  if (!std::is_sorted(requests.begin(), requests.end(), submits_before)) {
+    sorted.assign(requests.begin(), requests.end());
+    std::stable_sort(sorted.begin(), sorted.end(), submits_before);
+    requests = sorted;
   }
+  for (const NetFlowRequest& req : requests) {
+    while (runner.queue.step_before(req.submit)) audit();
+    runner.queue.advance_to(req.submit);
+    runner.submit(req);
+    audit();
+  }
+  while (runner.queue.step()) audit();
 
   NetReport report;
   report.offered = runner.offered;

@@ -14,12 +14,18 @@
 //      │                  scored 0                    │
 //      └──────────── score π(allocated rate) ◀────────┘
 //
+// Submits are streamed in stable submit order exactly as the admission
+// engine streams them, so a call submitted at the instant another
+// departs still sees that call's links held. Non-finite times,
+// durations or rates throw std::invalid_argument before anything runs.
+//
 // Calls submitting before `warmup` are simulated (they hold links and
 // shape the load every later call sees) but not scored. The engine is
 // single-threaded and deterministic: outcomes are a pure function of
 // (trace, policy, config). With `audit` set, the policy's LinkLedger
 // invariants (no link over capacity, no negative counts) are checked
-// after every event — the property suite's invariant-auditing sink.
+// after every event and every submit — the property suite's
+// invariant-auditing sink.
 #pragma once
 
 #include <cstdint>

@@ -51,6 +51,7 @@ const char* flight_code_name(FlightCode code) noexcept {
     case FlightCode::kCancel: return "CANCEL";
     case FlightCode::kExpireSweep: return "EXPIRE_SWEEP";
     case FlightCode::kContractFail: return "CONTRACT_FAIL";
+    case FlightCode::kRouteAlternate: return "ROUTE_ALT";
   }
   return "UNKNOWN";
 }

@@ -62,6 +62,9 @@ enum class FlightCode : std::uint32_t {
   kExpireSweep,       ///< calendar sweep retired reservations; a = count
   // Failure hooks.
   kContractFail,      ///< a benchmark/test contract failed
+  // Routing decisions, appended so earlier codes keep their values
+  // (a = live calls at decision, b = call index).
+  kRouteAlternate,    ///< call admitted on an alternate (overflow) path
 };
 
 /// Fixed uppercase name for a code ("OVERLOADED", "ADMIT", ...).

@@ -132,11 +132,12 @@ class TraceCollector {
   struct Buffer {
     Buffer(std::size_t ring_capacity, std::uint32_t track_id,
            std::string track_name)
-        : capacity(ring_capacity), tid(track_id), name(std::move(track_name)) {
-      events.reserve(ring_capacity);
-    }
+        : capacity(ring_capacity), tid(track_id), name(std::move(track_name)) {}
     mutable std::mutex mutex;
-    std::vector<TraceEvent> events;  ///< ring once size == capacity
+    /// Grows on demand and becomes a ring once size == capacity; not
+    /// reserved up front, because a short-lived worker thread records
+    /// a handful of spans and a full reservation is 4 MB per thread.
+    std::vector<TraceEvent> events;
     std::size_t capacity;
     std::size_t next = 0;      ///< ring write position
     std::uint64_t dropped = 0;

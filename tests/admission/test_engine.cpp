@@ -1,7 +1,10 @@
 #include "bevr/admission/engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -195,6 +198,116 @@ TEST(AdmissionEngine, EmptyTraceYieldsZeroReport) {
   EXPECT_DOUBLE_EQ(report.mean_utility, 0.0);
   EXPECT_DOUBLE_EQ(report.blocking_probability, 0.0);
   EXPECT_EQ(report.peak_active, 0u);
+}
+
+
+FlowRequest flow(double submit, double duration) {
+  FlowRequest req;
+  req.submit = submit;
+  req.start = submit;
+  req.duration = duration;
+  return req;
+}
+
+TEST(AdmissionEngine, SubmitAtADeparturesInstantIsDecidedFirst) {
+  // One share of capacity 1 and a 2-unit calendar tick: flow A holds
+  // tick [0, 2) until its departure at t = 1 releases it. A submit at
+  // exactly t = 1 is decided before that departure, so it is blocked;
+  // half a unit later the departure has run and the same flow fits.
+  PolicyConfig config = engine_config();
+  config.capacity = 1.0;
+  config.tick = 2.0;
+  const auto replay = [&config](double second_submit) {
+    ArrivalTrace trace;
+    trace.requests = {flow(0.0, 1.0), flow(second_submit, 1.0)};
+    const auto policy = make_policy(PolicyKind::kOnlineKmax, config);
+    return run_admission(trace, *policy, *config.pi, {});
+  };
+  const auto tie = replay(1.0);
+  EXPECT_EQ(tie.admitted, 1u);
+  EXPECT_EQ(tie.blocked, 1u);
+  const auto after = replay(1.5);
+  EXPECT_EQ(after.admitted, 2u);
+  EXPECT_EQ(after.blocked, 0u);
+}
+
+TEST(AdmissionEngine, ShuffledTraceReplaysLikeTheSortedOne) {
+  // Replay order is stable submit order, whatever order the trace
+  // vector holds.
+  const auto sorted = busy_trace(/*cancel_p=*/0.2, /*book_ahead=*/1.0);
+  ArrivalTrace shuffled = sorted;
+  std::shuffle(shuffled.requests.begin(), shuffled.requests.end(),
+               std::mt19937(7));
+  ASSERT_FALSE(std::is_sorted(
+      shuffled.requests.begin(), shuffled.requests.end(),
+      [](const FlowRequest& a, const FlowRequest& b) {
+        return a.submit < b.submit;
+      }));
+  const auto run = [](const ArrivalTrace& trace) {
+    const auto policy =
+        make_policy(PolicyKind::kAdvanceBooking, engine_config());
+    return run_admission(trace, *policy, *engine_config().pi, {});
+  };
+  const auto a = run(sorted);
+  const auto b = run(shuffled);
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.blocked, b.blocked);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.counteroffers_accepted, b.counteroffers_accepted);
+  EXPECT_EQ(a.calendar_offers, b.calendar_offers);
+  EXPECT_EQ(a.counteroffers, b.counteroffers);
+  EXPECT_EQ(a.expirations, b.expirations);
+  EXPECT_EQ(a.mean_utility, b.mean_utility);
+  EXPECT_EQ(a.blocking_probability, b.blocking_probability);
+  EXPECT_EQ(a.mean_allocated_rate, b.mean_allocated_rate);
+  EXPECT_EQ(a.peak_active, b.peak_active);
+}
+
+TEST(AdmissionEngine, RejectsNonFiniteFieldsBeforeRunningAnything) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto config = engine_config();
+  const auto rejects = [&config](FlowRequest bad) {
+    // A valid first request, then the bad one: nothing may run.
+    ArrivalTrace trace;
+    trace.requests = {flow(0.0, 1.0), bad};
+    const auto policy = make_policy(PolicyKind::kOnlineKmax, config);
+    EXPECT_THROW((void)run_admission(trace, *policy, *config.pi, {}),
+                 std::invalid_argument);
+    EXPECT_EQ(policy->calendar()->offers(), 0u);
+  };
+  FlowRequest req = flow(1.0, 1.0);
+  req.submit = nan;
+  rejects(req);
+  req.submit = inf;
+  rejects(req);
+  req = flow(1.0, 1.0);
+  req.start = nan;
+  rejects(req);
+  req.start = inf;
+  rejects(req);
+  req = flow(1.0, 1.0);
+  req.duration = nan;
+  rejects(req);
+  req.duration = inf;
+  rejects(req);
+  req = flow(1.0, 1.0);
+  req.rate = nan;
+  rejects(req);
+  req.rate = inf;
+  rejects(req);
+  req = flow(1.0, 1.0);
+  req.cancel = nan;
+  rejects(req);
+
+  // cancel = +inf is the default: "never cancels".
+  ArrivalTrace trace;
+  trace.requests = {flow(0.0, 1.0), flow(1.0, 1.0)};
+  ASSERT_EQ(trace.requests[1].cancel, inf);
+  const auto policy = make_policy(PolicyKind::kOnlineKmax, config);
+  const auto report = run_admission(trace, *policy, *config.pi, {});
+  EXPECT_EQ(report.offered, 2u);
 }
 
 }  // namespace

@@ -2,13 +2,18 @@
 // invariant-auditing sink, and input validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 
 #include "bevr/net2/engine.h"
 #include "bevr/net2/policy.h"
 #include "bevr/net2/topology.h"
 #include "bevr/net2/trace.h"
+#include "bevr/obs/flight_recorder.h"
 #include "bevr/sim/rng.h"
 #include "bevr/utility/utility.h"
 
@@ -162,6 +167,185 @@ TEST(RunNetwork, EmptyTraceYieldsAnEmptyReport) {
   EXPECT_EQ(report.offered, 0u);
   EXPECT_DOUBLE_EQ(report.blocking_probability, 0.0);
   EXPECT_DOUBLE_EQ(report.mean_utility, 0.0);
+}
+
+
+TEST(RunNetwork, SubmitAtADeparturesInstantSeesItsLinksHeld) {
+  // Capacity 1: call A holds the link over [0, 1). A call submitted at
+  // exactly t = 1 is decided before A's departure and is blocked; half
+  // a unit later it is admitted.
+  const Topology t = build_topology({TopologyKind::kTwoNode, 2, 1.0, {}});
+  const Rigid pi(1.0);
+  const auto replay = [&](double second_submit) {
+    auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());
+    NetTrace trace;
+    trace.horizon = 10.0;
+    trace.requests = {call(0, 1, 0.0, 1.0), call(0, 1, second_submit, 1.0)};
+    return run_network(trace, *policy, pi);
+  };
+  const NetReport tie = replay(1.0);
+  EXPECT_EQ(tie.admitted, 1u);
+  EXPECT_EQ(tie.blocked, 1u);
+  const NetReport after = replay(1.5);
+  EXPECT_EQ(after.admitted, 2u);
+  EXPECT_EQ(after.blocked, 0u);
+}
+
+TEST(RunNetwork, ShuffledTraceReplaysLikeTheSortedOne) {
+  const Topology t = build_topology({TopologyKind::kFullMesh, 4, 5.0, {}});
+  NetTraceSpec spec;
+  spec.pair_arrival_rate = 6.0;
+  spec.horizon = 40.0;
+  const NetTrace sorted = generate_net_trace(t, spec, sim::Rng(44));
+  NetTrace shuffled = sorted;
+  std::shuffle(shuffled.requests.begin(), shuffled.requests.end(),
+               std::mt19937(7));
+  const Rigid pi(1.0);
+  const auto run = [&](const NetTrace& trace) {
+    auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config(1.0));
+    return run_network(trace, *policy, pi);
+  };
+  const NetReport a = run(sorted);
+  const NetReport b = run(shuffled);
+  EXPECT_GT(a.alternate_routed, 0u);
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.blocked, b.blocked);
+  EXPECT_EQ(a.alternate_routed, b.alternate_routed);
+  EXPECT_EQ(a.mean_utility, b.mean_utility);
+  EXPECT_EQ(a.blocking_probability, b.blocking_probability);
+  EXPECT_EQ(a.mean_allocated_rate, b.mean_allocated_rate);
+  EXPECT_EQ(a.peak_active, b.peak_active);
+  EXPECT_EQ(a.peak_link_count, b.peak_link_count);
+}
+
+/// Forwards to a real policy and counts how many policy callbacks
+/// (request / on_start / on_end) ran since the engine last fetched the
+/// ledger, which it does to audit.
+class CountingPolicy final : public NetPolicy {
+ public:
+  explicit CountingPolicy(std::unique_ptr<NetPolicy> inner)
+      : inner_(std::move(inner)) {}
+  Decision request(const NetFlowRequest& req) override {
+    ++unaudited_;
+    return inner_->request(req);
+  }
+  double on_start(const NetFlowRequest& req, const Decision& d) override {
+    ++unaudited_;
+    return inner_->on_start(req, d);
+  }
+  void on_end(const NetFlowRequest& req, const Decision& d) override {
+    ++unaudited_;
+    inner_->on_end(req, d);
+  }
+  const LinkLedger& ledger() const override {
+    max_unaudited_ = std::max(max_unaudited_, unaudited_);
+    unaudited_ = 0;
+    ++ledger_calls_;
+    return inner_->ledger();
+  }
+  mutable std::size_t max_unaudited_ = 0;
+  mutable std::size_t ledger_calls_ = 0;
+  mutable std::size_t unaudited_ = 0;
+
+ private:
+  std::unique_ptr<NetPolicy> inner_;
+};
+
+TEST(RunNetwork, AuditRunsAfterEverySubmitStartAndDeparture) {
+  const Topology t = build_topology({TopologyKind::kFullMesh, 4, 3.0, {}});
+  NetTraceSpec spec;
+  spec.pair_arrival_rate = 4.0;
+  spec.horizon = 20.0;
+  const NetTrace trace = generate_net_trace(t, spec, sim::Rng(5));
+  const Rigid pi(1.0);
+  NetEngineConfig config;
+  config.audit = true;
+  CountingPolicy policy(
+      make_net_policy(NetPolicyKind::kDar, t, rigid_config(1.0)));
+  const NetReport report = run_network(trace, policy, pi, config);
+  ASSERT_GT(report.blocked, 0u);
+  // Events: one submit per call, one start and one departure per
+  // admitted call; plus the report's one ledger read at the end.
+  const std::size_t events = trace.requests.size() + 2 * report.admitted;
+  EXPECT_EQ(policy.ledger_calls_, events + 1);
+  EXPECT_EQ(policy.max_unaudited_, 1u);
+
+  config.audit = false;
+  CountingPolicy quiet(
+      make_net_policy(NetPolicyKind::kDar, t, rigid_config(1.0)));
+  (void)run_network(trace, quiet, pi, config);
+  EXPECT_EQ(quiet.ledger_calls_, 1u);
+}
+
+TEST(RunNetwork, AlternateRoutedCallsRecordRouteAlt) {
+  EXPECT_STREQ(obs::flight_code_name(obs::FlightCode::kRouteAlternate),
+               "ROUTE_ALT");
+  EXPECT_EQ(static_cast<std::uint32_t>(obs::FlightCode::kRouteAlternate),
+            static_cast<std::uint32_t>(obs::FlightCode::kContractFail) + 1);
+
+  const Topology t = build_topology({TopologyKind::kFullMesh, 3, 1.0, {}});
+  auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());
+  NetTrace trace;
+  trace.horizon = 10.0;
+  trace.requests = {call(0, 1, 0.0, 4.0),   // direct
+                    call(0, 1, 1.0, 1.0),   // overflows via node 2
+                    call(0, 1, 1.5, 1.0)};  // lost
+  const Rigid pi(1.0);
+  obs::FlightRecorder::global().clear();
+  const NetReport report = run_network(trace, *policy, pi);
+  ASSERT_EQ(report.alternate_routed, 1u);
+  std::size_t route_alt = 0;
+  std::size_t admit = 0;
+  std::size_t block = 0;
+  std::size_t mark = 0;
+  for (const auto& record : obs::FlightRecorder::global().records()) {
+    switch (record.code) {
+      case obs::FlightCode::kRouteAlternate:
+        ++route_alt;
+        EXPECT_DOUBLE_EQ(record.b, 1.0);  // the second call
+        break;
+      case obs::FlightCode::kAdmit: ++admit; break;
+      case obs::FlightCode::kBlock: ++block; break;
+      case obs::FlightCode::kMark: ++mark; break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(route_alt, 1u);
+  EXPECT_EQ(admit, 1u);
+  EXPECT_EQ(block, 1u);
+  EXPECT_EQ(mark, 0u);
+}
+
+TEST(RunNetwork, RejectsNonFiniteFieldsBeforeRunningAnything) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Topology t = build_topology({TopologyKind::kTwoNode, 2, 2.0, {}});
+  const Rigid pi(1.0);
+  const auto rejects = [&](NetFlowRequest bad) {
+    auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());
+    NetTrace trace;
+    trace.horizon = 10.0;
+    trace.requests = {call(0, 1, 0.0, 1.0), bad};
+    EXPECT_THROW((void)run_network(trace, *policy, pi),
+                 std::invalid_argument);
+    EXPECT_EQ(policy->ledger().peak_count(0), 0);  // nothing ran
+  };
+  NetFlowRequest req = call(0, 1, 1.0, 1.0);
+  req.submit = nan;
+  rejects(req);
+  req.submit = inf;
+  rejects(req);
+  req = call(0, 1, 1.0, 1.0);
+  req.duration = nan;
+  rejects(req);
+  req.duration = inf;
+  rejects(req);
+  req = call(0, 1, 1.0, 1.0);
+  req.rate = nan;
+  rejects(req);
+  req.rate = inf;
+  rejects(req);
 }
 
 }  // namespace
