@@ -1,6 +1,7 @@
 #include "bevr/core/fixed_load.h"
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,11 @@ struct FixedLoadCase {
   const char* name;
   double capacity;
 };
+
+// Print the case by name: gtest's default dumps the struct's bytes,
+// which include the name pointer, so the test IDs changed from one
+// test discovery to the next.
+void PrintTo(const FixedLoadCase& c, std::ostream* os) { *os << c.name; }
 
 class OverloadSweep : public ::testing::TestWithParam<FixedLoadCase> {};
 
