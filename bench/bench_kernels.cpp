@@ -6,23 +6,30 @@
 //    for exact equality (the equivalence contract is asserted, not
 //    assumed, on the numbers being timed);
 //  * kernels_welfare_sweep — the acceptance benchmark: the Poisson
-//    rigid welfare scenario through the runner with kernels on vs off,
-//    median wall-clock speedup over repetitions. Full mode enforces the
-//    ≥3× target via ctx.fail; smoke mode only checks row equality.
+//    rigid welfare scenario through the runner (memo + kernels) against
+//    a scalar arm — core::WelfareAnalysis over a bare VariableLoadModel,
+//    memoized the way the runner memoizes (point totals in a MemoCache,
+//    whole V(C) grids by (lo, hi, n)) — median wall-clock speedup over
+//    repetitions. Full mode enforces the ≥3× target via ctx.fail; smoke
+//    mode only checks row equality.
 //  * kernels_value_batch — microbenchmark of UtilityFunction::
 //    value_batch against the scalar value() loop.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bevr/bench/bench_util.h"
 #include "bevr/bench/registry.h"
 #include "bevr/core/variable_load.h"
+#include "bevr/core/welfare.h"
 #include "bevr/dist/algebraic.h"
 #include "bevr/dist/exponential.h"
 #include "bevr/dist/poisson.h"
@@ -68,6 +75,57 @@ std::vector<FigureCase> figure_cases() {
 double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// The welfare rows of `spec` the scalar way, written to `sink` as
+/// run_scenario would: core::WelfareAnalysis over a bare
+/// VariableLoadModel. Point totals are memoized in a MemoCache and
+/// whole V(C) grids by (lo, hi, n), as MemoizedVariableLoad does, so
+/// the kernels arm is compared against the same memo shape and only
+/// the evaluator differs.
+void scalar_welfare_run(const runner::ScenarioSpec& spec,
+                        runner::ResultSink& sink) {
+  const core::VariableLoadModel model(runner::make_load(spec),
+                                      runner::make_utility(spec), spec.eval);
+  runner::MemoCache cache;
+  const auto total = [&](char tag, double c) {
+    return cache.get_or_compute(tag == 'B' ? "VB" : "VR", c, [&] {
+      return tag == 'B' ? model.total_best_effort(c)
+                        : model.total_reservation(c);
+    });
+  };
+  std::map<std::tuple<char, double, double, int>, std::vector<double>> grids;
+  const auto grid_fn = [&](char tag) {
+    return [&, tag](double lo, double hi, int n, std::span<double> out) {
+      auto [it, fresh] = grids.try_emplace(std::tuple{tag, lo, hi, n});
+      if (fresh) {
+        const double step = (hi - lo) / (n - 1);
+        for (int i = 0; i < n; ++i) {
+          const double x = lo + step * i;
+          it->second.push_back(tag == 'B' ? model.total_best_effort(x)
+                                          : model.total_reservation(x));
+        }
+      }
+      std::copy(it->second.begin(), it->second.end(), out.begin());
+    };
+  };
+  const core::WelfareAnalysis analysis(
+      [&](double c) { return total('B', c); },
+      [&](double c) { return total('R', c); }, grid_fn('B'), grid_fn('R'),
+      model.mean_load());
+  runner::RunMetadata metadata;
+  metadata.scenario = spec.name;
+  sink.begin(metadata, runner::scenario_columns(spec));
+  const std::vector<double> prices = spec.grid.values();
+  for (std::size_t i = 0; i < prices.size(); ++i) {
+    const double p = prices[i];
+    const auto be = analysis.best_effort(p);
+    const auto rs = analysis.reservation(p);
+    sink.row(runner::ResultRow{i,
+                               {p, be.capacity, rs.capacity, be.welfare,
+                                rs.welfare, analysis.price_ratio(p)}});
+  }
+  sink.finish(runner::RunSummary{});
 }
 
 }  // namespace
@@ -121,7 +179,7 @@ BEVR_BENCHMARK(kernels_point_sweep,
 }
 
 BEVR_BENCHMARK(kernels_welfare_sweep,
-               "Poisson rigid welfare sweep, kernels on vs off") {
+               "Poisson rigid welfare sweep, runner vs memoized scalar") {
   runner::ScenarioSpec spec;
   spec.name = "bench_welfare_poisson_rigid";
   spec.model = runner::ModelKind::kWelfare;
@@ -131,14 +189,19 @@ BEVR_BENCHMARK(kernels_welfare_sweep,
   spec.grid = runner::GridSpec{0.01, 0.4, ctx.pick(16, 4), true};
 
   const int reps = ctx.pick(3, 1);
-  const auto timed_run = [&spec](bool use_kernels, std::string* rows) {
+  // Both arms write JSONL inside the timed region, as run_scenario into
+  // a JsonlSink does, so the ratio compares evaluation stacks only.
+  const auto timed_run = [&spec](bool kernels, std::string* rows) {
     std::ostringstream out;
     runner::JsonlSink sink(out);
-    runner::RunOptions options;
-    options.threads = 1;
-    options.use_kernels = use_kernels;
     const auto start = Clock::now();
-    runner::run_scenario(spec, options, sink);
+    if (kernels) {
+      runner::RunOptions options;
+      options.threads = 1;
+      runner::run_scenario(spec, options, sink);
+    } else {
+      scalar_welfare_run(spec, sink);
+    }
     const double wall = seconds_since(start);
     std::istringstream lines(out.str());
     std::string line;
@@ -151,6 +214,12 @@ BEVR_BENCHMARK(kernels_welfare_sweep,
     return wall;
   };
 
+  // One untimed runner pass first: the process's first run_scenario
+  // resolves git_describe (a fork of sh and git), which would otherwise
+  // land in rep 0's kernel arm.
+  std::string warm_rows;
+  (void)timed_run(true, &warm_rows);
+
   bench::print_columns({"rep", "scalar_s", "kernel_s", "speedup"});
   std::vector<double> speedups;
   for (int rep = 0; rep < reps; ++rep) {
@@ -162,7 +231,7 @@ BEVR_BENCHMARK(kernels_welfare_sweep,
     bench::print_row({static_cast<double>(rep), scalar_s, kernel_s,
                       scalar_s / kernel_s});
     if (kernel_rows != scalar_rows) {
-      ctx.fail("welfare rows diverge between kernels on and off");
+      ctx.fail("welfare rows diverge between the runner and the scalar arm");
     }
   }
   const double med = median(speedups);

@@ -84,7 +84,7 @@ BEVR_BENCHMARK(service_closed_loop,
   for (const service::Query& query : load.queries) {
     const service::Response response = client.evaluate(query);
     const auto direct = runner::make_memoized_model(
-        *registry.find(query.scenario), cache, /*use_kernels=*/true);
+        *registry.find(query.scenario), cache);
     if (response.best_effort != direct->best_effort(query.capacity) ||
         response.reservation != direct->reservation(query.capacity) ||
         response.performance_gap !=

@@ -6,9 +6,9 @@
 // Usage:
 //   bevr_run --list [filter]
 //   bevr_run <scenario|filter> [--threads N] [--seed S]
-//            [--format csv|jsonl] [--output FILE] [--no-cache] [--no-gap]
-//            [--no-kernels] [--report text|json|prom] [--metrics-out FILE]
-//            [--snapshot-every N] [--trace-out FILE]
+//            [--format csv|jsonl] [--output FILE] [--no-gap]
+//            [--report text|json|prom] [--metrics-out FILE]
+//            [--snapshot-every N] [--trace-out FILE] [--flight-dump FILE]
 //
 //   --list        print matching scenarios (name, model, grid, description)
 //   --threads N   worker threads (default 1; 0 = hardware concurrency)
@@ -16,11 +16,7 @@
 //                 results are bit-identical for a fixed seed at any N
 //   --format      csv (default) or jsonl
 //   --output      write to FILE instead of stdout
-//   --no-cache    disable memoized evaluation (same results, slower)
 //   --no-gap      skip the bandwidth-gap column (the expensive root solve)
-//   --no-kernels  evaluate through the scalar model instead of the
-//                 bevr::kernels batched sweep path (same results, slower;
-//                 the escape hatch the equivalence checks diff against)
 //   --report F    render the end-of-run metrics report as text, json or
 //                 prom (Prometheus exposition); goes to stderr unless
 //                 --metrics-out is given
@@ -88,8 +84,7 @@ int usage(const char* argv0, const char* error) {
   std::fprintf(stderr,
                "usage: %s --list [filter]\n"
                "       %s <scenario|filter> [--threads N] [--seed S]\n"
-               "          [--format csv|jsonl] [--output FILE] [--no-cache] "
-               "[--no-gap] [--no-kernels]\n"
+               "          [--format csv|jsonl] [--output FILE] [--no-gap]\n"
                "          [--report text|json|prom] [--metrics-out FILE] "
                "[--snapshot-every N] [--trace-out FILE] "
                "[--flight-dump FILE]\n",
@@ -144,8 +139,7 @@ int main(int argc, char** argv) try {
       }
       return argv[++i];
     };
-    if (has_inline && (arg == "--list" || arg == "--no-cache" ||
-                       arg == "--no-gap" || arg == "--no-kernels")) {
+    if (has_inline && (arg == "--list" || arg == "--no-gap")) {
       return usage(argv[0], (arg + " does not take a value").c_str());
     }
     if (arg == "--list") {
@@ -205,12 +199,8 @@ int main(int argc, char** argv) try {
           report_name != "prom") {
         return usage(argv[0], "--report must be text, json or prom");
       }
-    } else if (arg == "--no-cache") {
-      options.use_cache = false;
     } else if (arg == "--no-gap") {
       skip_gap = true;
-    } else if (arg == "--no-kernels") {
-      options.use_kernels = false;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0], ("unknown option '" + arg + "'").c_str());
     } else if (target.empty()) {
@@ -275,9 +265,7 @@ int main(int argc, char** argv) try {
 
   // One cache + one pool shared across all matched scenarios: λ-
   // calibrations and thread start-up amortise over the whole batch.
-  if (options.use_cache && !options.cache) {
-    options.cache = std::make_shared<MemoCache>();
-  }
+  options.cache = std::make_shared<MemoCache>();
   std::unique_ptr<ThreadPool> pool;
   if (options.threads != 1) {
     pool = std::make_unique<ThreadPool>(options.threads);

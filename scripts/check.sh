@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 build+test pass, then an ASan+UBSan
-# run of the runner subsystem's tests (the code with real concurrency),
-# then a TSan run of the runner + obs + service + admission + net2
-# suites (the sharded metrics registry, trace buffers, the evaluation
-# service's ticket queue / worker pool, the admission calendar's
-# expiry-vs-cancellation races, and the net2 ledger's concurrent
-# path-admission rollback are the raciest code in the tree).
+# Repo verification: the tier-1 build+test pass, the bench smoke and
+# baseline gates, then the ASan+UBSan and TSan legs. The sanitizer
+# suite lists live in scripts/sanitize.sh, shared with CI.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -83,22 +79,10 @@ else
   echo "(no bench/baselines/BENCH_obs.json — skipping baseline compare)"
 fi
 
-echo "== sanitized: ASan+UBSan runner + sim + net2 tests =="
-cmake -B build-asan -S . -DBEVR_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j "${JOBS}" --target bevr_runner_tests bevr_sim_tests \
-  bevr_net2_tests
-./build-asan/tests/bevr_runner_tests
-./build-asan/tests/bevr_sim_tests
-./build-asan/tests/bevr_net2_tests
+echo "== sanitized: ASan+UBSan =="
+scripts/sanitize.sh address "${JOBS}"
 
-echo "== sanitized: TSan runner + obs + service + admission + net2 tests =="
-cmake -B build-tsan -S . -DBEVR_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j "${JOBS}" --target bevr_runner_tests bevr_obs_tests \
-  bevr_service_tests bevr_admission_tests bevr_net2_tests
-./build-tsan/tests/bevr_runner_tests
-./build-tsan/tests/bevr_obs_tests
-./build-tsan/tests/bevr_service_tests
-./build-tsan/tests/bevr_admission_tests
-./build-tsan/tests/bevr_net2_tests
+echo "== sanitized: TSan =="
+scripts/sanitize.sh thread "${JOBS}"
 
 echo "== all checks passed =="

@@ -2,9 +2,9 @@
 # Regenerate tests/golden/*.csv from the current build.
 #
 # A golden is the bevr_run CSV for one registry scenario (default run
-# options: seed 42, cache on, kernels on, bandwidth-gap column where
-# the spec asks for it) with the '#' provenance comments stripped —
-# the same normalisation tests/golden/test_golden.cpp applies.
+# options: seed 42, bandwidth-gap column where the spec asks for it)
+# with the '#' provenance comments stripped — the same normalisation
+# tests/golden/test_golden.cpp applies.
 #
 # Only run this after an INTENTIONAL value change, and review the
 # resulting diff like any other code change: a golden refresh that

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "bevr/core/fixed_load.h"
-#include "bevr/kernels/warm_kmax.h"
 
 namespace bevr::admission {
 
@@ -75,12 +74,7 @@ class OnlineKmaxPolicy final : public AdmissionPolicy {
     if (!config.pi) {
       throw std::invalid_argument("OnlineKmaxPolicy: utility required");
     }
-    // WarmKmax and core::k_max are documented to give identical
-    // answers, so the use_kernels flag can never change results (the
-    // golden matrix pins this byte-for-byte).
-    const auto k = config.use_warm_kmax
-                       ? kernels::WarmKmax().k_max(*config.pi, config.capacity)
-                       : core::k_max(*config.pi, config.capacity);
+    const auto k = core::k_max(*config.pi, config.capacity);
     if (!k) {
       throw std::invalid_argument(
           "OnlineKmaxPolicy: elastic utility has no k_max — admission "

@@ -45,9 +45,6 @@ struct PolicyConfig {
   /// elastic utilities where k_max does not exist).
   std::shared_ptr<const utility::UtilityFunction> pi;
   double tick = 0.25;  ///< calendar slice width
-  /// kOnlineKmax: compute k_max via kernels::WarmKmax (documented
-  /// bit-identical to core::k_max, so results never depend on this).
-  bool use_warm_kmax = true;
   /// kAdvanceBooking malleability: accept a reduced-rate counteroffer
   /// down to this fraction of the requested rate (1.0 = rigid) ...
   double min_rate_fraction = 1.0;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "bevr/core/fixed_load.h"
-#include "bevr/kernels/warm_kmax.h"
 
 namespace bevr::net2 {
 
@@ -112,11 +111,7 @@ class DirectReservationPolicy final : public RoutedPolicy {
     shares_.reserve(topology.link_count());
     for (std::size_t i = 0; i < topology.link_count(); ++i) {
       const double capacity = topology.link(static_cast<LinkId>(i)).capacity;
-      // WarmKmax and core::k_max are documented to give identical
-      // answers, so the use_kernels flag can never change results.
-      const auto k = config.use_warm_kmax
-                         ? kernels::WarmKmax().k_max(*config.pi, capacity)
-                         : core::k_max(*config.pi, capacity);
+      const auto k = core::k_max(*config.pi, capacity);
       if (!k) {
         throw std::invalid_argument(
             "DirectReservationPolicy: elastic utility has no k_max — "

@@ -62,10 +62,6 @@ struct NetPolicyConfig {
   /// r = 0 disables the protection; on the two-node topology (no
   /// alternates exist) kDar reduces to plain per-link admission.
   double trunk_reserve = 0.0;
-  /// kDirectReservation: compute k_max via kernels::WarmKmax
-  /// (documented bit-identical to core::k_max, so results never
-  /// depend on this).
-  bool use_warm_kmax = true;
 
   /// Throws std::invalid_argument on out-of-range fields.
   void validate() const;

@@ -17,12 +17,6 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-MemoCache::MemoCache(bool enabled) : enabled_(enabled) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs_hits_ = registry.counter("runner/cache/hits");
-  obs_misses_ = registry.counter("runner/cache/misses");
-}
-
 std::size_t MemoCache::KeyHash::operator()(const Key& key) const {
   std::uint64_t h = std::hash<std::string>{}(key.op);
   h = mix64(h ^ std::bit_cast<std::uint64_t>(key.a));
@@ -42,18 +36,12 @@ double MemoCache::get_or_compute2(const std::string& op, double arg_a,
 }
 
 double MemoCache::lookup(Key key, const std::function<double()>& compute) {
-  if (!enabled_) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs_misses_.inc();
-    return compute();
-  }
   Shard& shard = shards_[KeyHash{}(key) % kShards];
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     const auto found = shard.map.find(key);
     if (found != shard.map.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_hits_.inc();
       return found->second;
     }
   }
@@ -61,7 +49,6 @@ double MemoCache::lookup(Key key, const std::function<double()>& compute) {
   // shard. A racing task may duplicate the work; both produce the same
   // pure value, so insertion order is immaterial.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_misses_.inc();
   const double value = compute();
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);

@@ -20,8 +20,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "bevr/obs/metrics.h"
-
 namespace bevr::runner {
 
 /// Cumulative cache effectiveness counters.
@@ -37,10 +35,6 @@ struct CacheStats {
 
 class MemoCache {
  public:
-  /// A disabled cache computes every call and counts it as a miss —
-  /// handy for A/B-ing cache effect without touching call sites.
-  explicit MemoCache(bool enabled = true);
-
   /// Return the memoized value for (op, arg), computing and storing it
   /// on first sight. `op` identifies the computation (e.g. "B", "kmax");
   /// two ops never collide even at equal args.
@@ -51,8 +45,10 @@ class MemoCache {
   double get_or_compute2(const std::string& op, double arg_a, double arg_b,
                          const std::function<double()>& compute);
 
+  /// Every lookup since construction or clear() counts once, as a hit
+  /// or a miss. The obs registry's runner/cache/{hits,misses} are fed
+  /// from differences of this view, once per run_scenario call.
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] bool enabled() const { return enabled_; }
   void clear();
 
  private:
@@ -74,13 +70,8 @@ class MemoCache {
 
   static constexpr std::size_t kShards = 16;
   std::array<Shard, kShards> shards_;
-  // Per-instance stats() view; the process-wide totals live on the
-  // obs registry counters below (runner/cache/{hits,misses}).
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  obs::Counter obs_hits_;
-  obs::Counter obs_misses_;
-  bool enabled_;
 };
 
 }  // namespace bevr::runner

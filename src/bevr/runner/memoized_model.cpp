@@ -21,66 +21,29 @@ std::uint64_t next_instance_id() {
 
 MemoizedVariableLoad::MemoizedVariableLoad(
     std::shared_ptr<const core::VariableLoadModel> model,
-    std::shared_ptr<MemoCache> cache)
-    : MemoizedVariableLoad(std::move(model), std::move(cache), nullptr) {}
-
-MemoizedVariableLoad::MemoizedVariableLoad(
-    std::shared_ptr<const core::VariableLoadModel> model,
     std::shared_ptr<MemoCache> cache,
     std::shared_ptr<const kernels::SweepEvaluator> kernel)
     : model_(std::move(model)),
       cache_(std::move(cache)),
       kernel_(std::move(kernel)),
-      instance_id_(next_instance_id()) {}
-
-std::optional<std::int64_t> MemoizedVariableLoad::eval_k_max(
-    double capacity) const {
-  return kernel_ ? kernel_->k_max(capacity) : model_->k_max(capacity);
-}
-
-double MemoizedVariableLoad::eval_best_effort(double capacity) const {
-  return kernel_ ? kernel_->best_effort(capacity)
-                 : model_->best_effort(capacity);
-}
-
-double MemoizedVariableLoad::eval_reservation(double capacity) const {
-  return kernel_ ? kernel_->reservation(capacity)
-                 : model_->reservation(capacity);
-}
-
-double MemoizedVariableLoad::eval_total_best_effort(double capacity) const {
-  return kernel_ ? kernel_->total_best_effort(capacity)
-                 : model_->total_best_effort(capacity);
-}
-
-double MemoizedVariableLoad::eval_total_reservation(double capacity) const {
-  return kernel_ ? kernel_->total_reservation(capacity)
-                 : model_->total_reservation(capacity);
-}
-
-double MemoizedVariableLoad::eval_performance_gap(double capacity) const {
-  return kernel_ ? kernel_->performance_gap(capacity)
-                 : model_->performance_gap(capacity);
-}
-
-double MemoizedVariableLoad::eval_bandwidth_gap(double capacity) const {
-  return kernel_ ? kernel_->bandwidth_gap(capacity)
-                 : model_->bandwidth_gap(capacity);
-}
-
-double MemoizedVariableLoad::eval_blocking_fraction(double capacity) const {
-  return kernel_ ? kernel_->blocking_fraction(capacity)
-                 : model_->blocking_fraction(capacity);
+      instance_id_(next_instance_id()) {
+  if (!model_ || !cache_ || !kernel_) {
+    throw std::invalid_argument(
+        "MemoizedVariableLoad: model, cache and kernel are all required");
+  }
+  if (&kernel_->model() != model_.get()) {
+    throw std::invalid_argument(
+        "MemoizedVariableLoad: kernel wraps a different model");
+  }
 }
 
 std::optional<std::int64_t> MemoizedVariableLoad::k_max(double capacity) const {
-  if (!cache_) return eval_k_max(capacity);
   // Encode nullopt (elastic utility) as -1: k_max is otherwise >= 1,
   // and any int64 in range is exactly representable after the argmax
   // search's own bounds (< 2^53).
   const double packed = cache_->get_or_compute2(
       "kmax", capacity, static_cast<double>(instance_id_), [&] {
-        const auto k = eval_k_max(capacity);
+        const auto k = kernel_->k_max(capacity);
         return k ? static_cast<double>(*k) : -1.0;
       });
   if (packed < 0.0) return std::nullopt;
@@ -88,52 +51,45 @@ std::optional<std::int64_t> MemoizedVariableLoad::k_max(double capacity) const {
 }
 
 double MemoizedVariableLoad::best_effort(double capacity) const {
-  if (!cache_) return eval_best_effort(capacity);
-  return cache_->get_or_compute2("B", capacity,
-                                 static_cast<double>(instance_id_),
-                                 [&] { return eval_best_effort(capacity); });
+  return cache_->get_or_compute2(
+      "B", capacity, static_cast<double>(instance_id_),
+      [&] { return kernel_->best_effort(capacity); });
 }
 
 double MemoizedVariableLoad::reservation(double capacity) const {
-  if (!cache_) return eval_reservation(capacity);
-  return cache_->get_or_compute2("R", capacity,
-                                 static_cast<double>(instance_id_),
-                                 [&] { return eval_reservation(capacity); });
+  return cache_->get_or_compute2(
+      "R", capacity, static_cast<double>(instance_id_),
+      [&] { return kernel_->reservation(capacity); });
 }
 
 double MemoizedVariableLoad::total_best_effort(double capacity) const {
-  if (!cache_) return eval_total_best_effort(capacity);
   return cache_->get_or_compute2(
       "VB", capacity, static_cast<double>(instance_id_),
-      [&] { return eval_total_best_effort(capacity); });
+      [&] { return kernel_->total_best_effort(capacity); });
 }
 
 double MemoizedVariableLoad::total_reservation(double capacity) const {
-  if (!cache_) return eval_total_reservation(capacity);
   return cache_->get_or_compute2(
       "VR", capacity, static_cast<double>(instance_id_),
-      [&] { return eval_total_reservation(capacity); });
+      [&] { return kernel_->total_reservation(capacity); });
 }
 
 double MemoizedVariableLoad::performance_gap(double capacity) const {
-  if (!cache_) return eval_performance_gap(capacity);
   // Same expression the model computes (max(0, R−B)) but over the
   // memoized operands, so δ after B and R costs two cache hits.
   return std::max(0.0, reservation(capacity) - best_effort(capacity));
 }
 
 double MemoizedVariableLoad::bandwidth_gap(double capacity) const {
-  if (!cache_) return eval_bandwidth_gap(capacity);
   return cache_->get_or_compute2(
       "Delta", capacity, static_cast<double>(instance_id_),
-      [&] { return eval_bandwidth_gap(capacity); });
+      [&] { return kernel_->bandwidth_gap(capacity); });
 }
 
 double MemoizedVariableLoad::blocking_fraction(double capacity) const {
-  if (!cache_) return eval_blocking_fraction(capacity);
   return cache_->get_or_compute2(
       "theta", capacity, static_cast<double>(instance_id_),
-      [&] { return eval_blocking_fraction(capacity); });
+      [&] { return kernel_->blocking_fraction(capacity); });
 }
 
 void MemoizedVariableLoad::fill_grid(char tag, double lo, double hi, int n,
@@ -142,26 +98,19 @@ void MemoizedVariableLoad::fill_grid(char tag, double lo, double hi, int n,
     throw std::invalid_argument(
         "MemoizedVariableLoad: grid needs n >= 2 and a matching span");
   }
-  const auto compute = [&](std::span<double> dst) {
+  const std::scoped_lock lock(grid_mutex_);
+  auto [it, fresh] = grid_cache_.try_emplace(std::tuple{tag, lo, hi, n});
+  if (fresh) {
+    it->second.resize(static_cast<std::size_t>(n));
     // The capacity expression must match the scan in grid_refine_max
     // term for term: x_i = lo + step·i.
     const double step = (hi - lo) / (n - 1);
     for (int i = 0; i < n; ++i) {
       const double x = lo + step * i;
-      dst[static_cast<std::size_t>(i)] = tag == 'B'
-                                             ? eval_total_best_effort(x)
-                                             : eval_total_reservation(x);
+      it->second[static_cast<std::size_t>(i)] =
+          tag == 'B' ? kernel_->total_best_effort(x)
+                     : kernel_->total_reservation(x);
     }
-  };
-  if (!cache_) {
-    compute(out);
-    return;
-  }
-  const std::scoped_lock lock(grid_mutex_);
-  auto [it, fresh] = grid_cache_.try_emplace(std::tuple{tag, lo, hi, n});
-  if (fresh) {
-    it->second.resize(static_cast<std::size_t>(n));
-    compute(it->second);
   }
   std::copy(it->second.begin(), it->second.end(), out.begin());
 }

@@ -1,9 +1,14 @@
-// Memoizing façade over the discrete variable-load model.
+// Memoizing façade over the discrete variable-load model: the one
+// stack (MemoCache → MemoizedVariableLoad → kernels::SweepEvaluator)
+// through which the runner and the service evaluate a variable-load
+// point.
 //
 // Guarantees: every accessor returns a value bitwise-equal to the
-// underlying model's (the cache stores results, never approximations),
-// and all methods are safe to call concurrently (VariableLoadModel is
-// const/stateless after construction; the cache is internally locked).
+// underlying model's (misses are computed by the SweepEvaluator, whose
+// equivalence contract is bit-identity with the VariableLoadModel it
+// wraps, and the cache stores results, never approximations), and all
+// methods are safe to call concurrently (the model and evaluator are
+// const after construction; the cache is internally locked).
 // The big wins in practice:
 //  * k_max(C) — one integer argmax shared by B, R, δ and blocking at
 //    the same capacity, and by the Δ(C) root solve probing R(C);
@@ -29,15 +34,10 @@ namespace bevr::runner {
 
 class MemoizedVariableLoad {
  public:
-  /// `cache` may be shared across models for pooled statistics; pass
-  /// nullptr to disable memoization entirely (pure pass-through).
-  MemoizedVariableLoad(std::shared_ptr<const core::VariableLoadModel> model,
-                       std::shared_ptr<MemoCache> cache);
-
-  /// Kernel-accelerated variant: cache misses are computed through the
-  /// SweepEvaluator instead of the scalar model. The evaluator's
-  /// equivalence contract (bit-identical results) keeps the façade's
-  /// own guarantee intact, so cached values from either path agree.
+  /// Cache misses are computed by `kernel`, which must wrap `model`
+  /// itself. `cache` may be shared across models for pooled
+  /// statistics. Throws std::invalid_argument for a null model, cache
+  /// or kernel, or a kernel built over another model.
   MemoizedVariableLoad(
       std::shared_ptr<const core::VariableLoadModel> model,
       std::shared_ptr<MemoCache> cache,
@@ -67,24 +67,12 @@ class MemoizedVariableLoad {
 
   [[nodiscard]] const core::VariableLoadModel& model() const { return *model_; }
 
-  /// The kernel evaluator computing cache misses, or nullptr when this
-  /// façade runs the scalar path.
-  [[nodiscard]] const kernels::SweepEvaluator* kernel() const {
-    return kernel_.get();
+  /// The kernel evaluator computing cache misses.
+  [[nodiscard]] const kernels::SweepEvaluator& kernel() const {
+    return *kernel_;
   }
 
  private:
-  // Compute-on-miss dispatch: kernel when present, scalar model
-  // otherwise. Both return identical doubles by contract.
-  [[nodiscard]] std::optional<std::int64_t> eval_k_max(double capacity) const;
-  [[nodiscard]] double eval_best_effort(double capacity) const;
-  [[nodiscard]] double eval_reservation(double capacity) const;
-  [[nodiscard]] double eval_total_best_effort(double capacity) const;
-  [[nodiscard]] double eval_total_reservation(double capacity) const;
-  [[nodiscard]] double eval_performance_gap(double capacity) const;
-  [[nodiscard]] double eval_bandwidth_gap(double capacity) const;
-  [[nodiscard]] double eval_blocking_fraction(double capacity) const;
-
   /// Shared fill-then-copy helper for the *_grid accessors.
   void fill_grid(char tag, double lo, double hi, int n,
                  std::span<double> out) const;

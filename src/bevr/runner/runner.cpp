@@ -43,9 +43,9 @@ double seconds_since(Clock::time_point start) {
 // Instantiate the spec's load, memoizing the algebraic λ-calibration
 // (a Hurwitz-zeta root solve) across scenarios sharing the cache.
 std::shared_ptr<const dist::DiscreteLoad> make_load_cached(
-    const ScenarioSpec& spec, const std::shared_ptr<MemoCache>& cache) {
-  if (spec.load != LoadFamily::kAlgebraic || !cache) return make_load(spec);
-  const double lambda = cache->get_or_compute2(
+    const ScenarioSpec& spec, MemoCache& cache) {
+  if (spec.load != LoadFamily::kAlgebraic) return make_load(spec);
+  const double lambda = cache.get_or_compute2(
       "alg_lambda", spec.load_param, spec.load_mean, [&] {
         return dist::AlgebraicLoad::with_mean(spec.load_param, spec.load_mean)
             .lambda();
@@ -60,43 +60,39 @@ using Plan = std::function<void(std::int64_t)>;
 // needs the utility itself alongside the façade).
 std::shared_ptr<MemoizedVariableLoad> make_variable_model(
     const ScenarioSpec& spec, const std::shared_ptr<MemoCache>& cache,
-    bool use_kernels,
     std::shared_ptr<const utility::UtilityFunction> pi = nullptr) {
+  if (!cache) {
+    throw std::invalid_argument("make_memoized_model: a cache is required");
+  }
   if (!pi) pi = make_utility(spec);
   auto model = std::make_shared<core::VariableLoadModel>(
-      make_load_cached(spec, cache), std::move(pi), spec.eval);
-  std::shared_ptr<const kernels::SweepEvaluator> kernel;
-  if (use_kernels) {
-    kernel = std::make_shared<kernels::SweepEvaluator>(model);
-  }
+      make_load_cached(spec, *cache), std::move(pi), spec.eval);
+  auto kernel = std::make_shared<kernels::SweepEvaluator>(model);
   return std::make_shared<MemoizedVariableLoad>(std::move(model), cache,
                                                 std::move(kernel));
 }
 
 Plan plan_fixed_load(const ScenarioSpec& spec, const std::vector<double>& grid,
-                     std::vector<ResultRow>& rows, bool use_kernels) {
+                     std::vector<ResultRow>& rows) {
   auto pi = make_utility(spec);
-  // Kernel path: k_max resumes from the previous grid point (the grid
-  // is sorted), and the capacity-independent continuum share b* — a
-  // 2048-point grid refinement — is solved once instead of per point.
+  // k_max resumes from the previous grid point (the grid is sorted),
+  // and the capacity-independent continuum share b* — a 2048-point
+  // grid refinement — is solved once instead of per point.
   // k_max_continuum(pi, c) is exactly c / optimal_share(pi), so the
   // hoisted division reproduces it bit-for-bit.
-  std::shared_ptr<const kernels::WarmKmax> warm;
-  double share = std::numeric_limits<double>::infinity();
-  if (use_kernels) {
-    warm = std::make_shared<kernels::WarmKmax>();
-    if (pi->inelastic()) share = core::optimal_share(*pi);
-  }
+  auto warm = std::make_shared<const kernels::WarmKmax>();
+  const double share = pi->inelastic()
+                           ? core::optimal_share(*pi)
+                           : std::numeric_limits<double>::infinity();
   return Plan{[&rows, &grid, pi, warm, share](std::int64_t i) {
         const double c = grid[static_cast<std::size_t>(i)];
-        const auto kmax = warm ? warm->k_max(*pi, c) : core::k_max(*pi, c);
+        const auto kmax = warm->k_max(*pi, c);
         const double v =
             kmax ? core::total_utility(*pi, c, *kmax)
                  : std::numeric_limits<double>::infinity();
-        const double kc =
-            pi->inelastic()
-                ? (warm ? c / share : core::k_max_continuum(*pi, c))
-                : std::numeric_limits<double>::infinity();
+        const double kc = pi->inelastic()
+                              ? c / share
+                              : std::numeric_limits<double>::infinity();
         rows[static_cast<std::size_t>(i)].values = {
             c, kmax ? static_cast<double>(*kmax) : -1.0, v, kc};
       }};
@@ -105,9 +101,8 @@ Plan plan_fixed_load(const ScenarioSpec& spec, const std::vector<double>& grid,
 Plan plan_variable_load(const ScenarioSpec& spec,
                         const std::vector<double>& grid,
                         std::vector<ResultRow>& rows,
-                        const std::shared_ptr<MemoCache>& cache,
-                        bool use_kernels) {
-  auto model = make_variable_model(spec, cache, use_kernels);
+                        const std::shared_ptr<MemoCache>& cache) {
+  auto model = make_variable_model(spec, cache);
   const bool with_gap = spec.with_bandwidth_gap;
   return Plan{[&rows, &grid, model, with_gap](std::int64_t i) {
                 const double c = grid[static_cast<std::size_t>(i)];
@@ -136,8 +131,8 @@ Plan plan_continuum(const ScenarioSpec& spec, const std::vector<double>& grid,
 
 Plan plan_welfare(const ScenarioSpec& spec, const std::vector<double>& grid,
                   std::vector<ResultRow>& rows,
-                  const std::shared_ptr<MemoCache>& cache, bool use_kernels) {
-  auto model = make_variable_model(spec, cache, use_kernels);
+                  const std::shared_ptr<MemoCache>& cache) {
+  auto model = make_variable_model(spec, cache);
   auto analysis = std::make_shared<core::WelfareAnalysis>(
       [model](double c) { return model->total_best_effort(c); },
       [model](double c) { return model->total_reservation(c); },
@@ -161,7 +156,7 @@ Plan plan_welfare(const ScenarioSpec& spec, const std::vector<double>& grid,
 Plan plan_simulation(const ScenarioSpec& spec, const std::vector<double>& grid,
                      std::vector<ResultRow>& rows,
                      const std::shared_ptr<MemoCache>& cache,
-                     std::uint64_t base_seed, bool use_kernels) {
+                     std::uint64_t base_seed) {
   if (spec.load != LoadFamily::kPoisson) {
     throw std::invalid_argument(
         "run_scenario: simulation scenarios require a Poisson load "
@@ -169,7 +164,7 @@ Plan plan_simulation(const ScenarioSpec& spec, const std::vector<double>& grid,
         to_string(spec.load) + "'");
   }
   auto pi = make_utility(spec);
-  auto model = make_variable_model(spec, cache, use_kernels, pi);
+  auto model = make_variable_model(spec, cache, pi);
   const double rate = spec.load_mean;  // holding mean 1 → occupancy mean k̄
   const double horizon = spec.sim_horizon;
   const double warmup = spec.sim_warmup;
@@ -214,11 +209,10 @@ Plan plan_simulation(const ScenarioSpec& spec, const std::vector<double>& grid,
 }
 
 Plan plan_admission(const ScenarioSpec& spec, const std::vector<double>& grid,
-                    std::vector<ResultRow>& rows, std::uint64_t base_seed,
-                    bool use_kernels) {
+                    std::vector<ResultRow>& rows, std::uint64_t base_seed) {
   auto pi = make_utility(spec);
   const AdmissionSpec adm = spec.admission;
-  return Plan{[&rows, &grid, pi, adm, base_seed, use_kernels](std::int64_t i) {
+  return Plan{[&rows, &grid, pi, adm, base_seed](std::int64_t i) {
     // Per-task trace from an index-keyed sub-stream: bit-identical at
     // any thread count, and identical for every policy replaying it.
     admission::TraceSpec tspec = adm.trace;
@@ -245,7 +239,6 @@ Plan plan_admission(const ScenarioSpec& spec, const std::vector<double>& grid,
     pc.capacity = adm.capacity;
     pc.pi = pi;
     pc.tick = adm.tick;
-    pc.use_warm_kmax = use_kernels;
 
     auto& values = rows[static_cast<std::size_t>(i)].values;
     if (adm.sweep == AdmissionSweep::kErlangCheck) {
@@ -304,11 +297,10 @@ Plan plan_admission(const ScenarioSpec& spec, const std::vector<double>& grid,
 }
 
 Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
-               std::vector<ResultRow>& rows, std::uint64_t base_seed,
-               bool use_kernels) {
+               std::vector<ResultRow>& rows, std::uint64_t base_seed) {
   auto pi = make_utility(spec);
   const Net2Spec net = spec.net2;
-  return Plan{[&rows, &grid, pi, net, base_seed, use_kernels](std::int64_t i) {
+  return Plan{[&rows, &grid, pi, net, base_seed](std::int64_t i) {
     const double x = grid[static_cast<std::size_t>(i)];
     auto& values = rows[static_cast<std::size_t>(i)].values;
 
@@ -361,7 +353,6 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
 
     net2::NetPolicyConfig pc;
     pc.pi = pi;
-    pc.use_warm_kmax = use_kernels;
     const auto run_policy = [&](net2::NetPolicyKind kind,
                                 double trunk_reserve) {
       pc.trunk_reserve = trunk_reserve;
@@ -427,8 +418,13 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
 
 std::shared_ptr<MemoizedVariableLoad> make_memoized_model(
     const ScenarioSpec& spec, const std::shared_ptr<MemoCache>& cache,
-    bool use_kernels) {
-  return make_variable_model(spec, cache, use_kernels);
+    bool kernels) {
+  if (!kernels) {
+    throw std::invalid_argument(
+        "make_memoized_model: the kernels are the only evaluation path; "
+        "pass true");
+  }
+  return make_variable_model(spec, cache);
 }
 
 std::vector<std::string> scenario_columns(const ScenarioSpec& spec) {
@@ -563,6 +559,8 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   const obs::Counter expand_us = registry.counter("runner/phase/expand_us");
   const obs::Counter execute_us = registry.counter("runner/phase/execute_us");
   const obs::Counter emit_us = registry.counter("runner/phase/emit_us");
+  const obs::Counter cache_hits = registry.counter("runner/cache/hits");
+  const obs::Counter cache_misses = registry.counter("runner/cache/misses");
   const obs::Histogram task_us = registry.histogram("runner/task_us");
 
   const auto run_start = Clock::now();
@@ -572,6 +570,10 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   std::vector<double> grid;
   std::vector<ResultRow> rows;
   std::shared_ptr<MemoCache> cache;
+  // This run's lookups reach the obs registry once, as the stats()
+  // difference across expand + execute: a shared cache carries the
+  // counts of earlier runs.
+  CacheStats cache_before;
   Plan plan;
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
@@ -582,28 +584,24 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
     rows.resize(grid.size());
     for (std::size_t i = 0; i < rows.size(); ++i) rows[i].index = i;
 
-    cache = options.cache;
-    if (!cache && options.use_cache) cache = std::make_shared<MemoCache>();
+    cache = options.cache ? options.cache : std::make_shared<MemoCache>();
+    cache_before = cache->stats();
 
     plan = [&] {
       switch (spec.model) {
         case ModelKind::kFixedLoad:
-          return plan_fixed_load(spec, grid, rows, options.use_kernels);
+          return plan_fixed_load(spec, grid, rows);
         case ModelKind::kVariableLoad:
-          return plan_variable_load(spec, grid, rows, cache,
-                                    options.use_kernels);
+          return plan_variable_load(spec, grid, rows, cache);
         case ModelKind::kContinuum: return plan_continuum(spec, grid, rows);
         case ModelKind::kWelfare:
-          return plan_welfare(spec, grid, rows, cache, options.use_kernels);
+          return plan_welfare(spec, grid, rows, cache);
         case ModelKind::kSimulation:
-          return plan_simulation(spec, grid, rows, cache, options.base_seed,
-                                 options.use_kernels);
+          return plan_simulation(spec, grid, rows, cache, options.base_seed);
         case ModelKind::kAdmission:
-          return plan_admission(spec, grid, rows, options.base_seed,
-                                options.use_kernels);
+          return plan_admission(spec, grid, rows, options.base_seed);
         case ModelKind::kNet2:
-          return plan_net2(spec, grid, rows, options.base_seed,
-                           options.use_kernels);
+          return plan_net2(spec, grid, rows, options.base_seed);
       }
       throw std::invalid_argument("run_scenario: unknown model kind");
     }();
@@ -655,6 +653,9 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   }
   summary.execute_seconds = seconds_since(execute_start);
   execute_us.add(static_cast<std::uint64_t>(summary.execute_seconds * 1e6));
+  const CacheStats cache_after = cache->stats();
+  cache_hits.add(cache_after.hits - cache_before.hits);
+  cache_misses.add(cache_after.misses - cache_before.misses);
 
   // -- emit: stream rows to the sink, strictly in grid order ---------------
   // (after the barrier; the payload cannot depend on scheduling).
@@ -670,7 +671,7 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   summary.wall_seconds = seconds_since(run_start);
   summary.task_seconds_total =
       static_cast<double>(task_nanos.load()) * 1e-9;
-  if (cache) summary.cache = cache->stats();
+  summary.cache = cache->stats();
   runs_counter.inc();
   rows_counter.add(rows.size());
 

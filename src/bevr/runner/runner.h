@@ -27,21 +27,15 @@ struct RunOptions {
   /// Root seed for stochastic scenarios; task i uses split(i)-derived
   /// sub-seeds, so the same base_seed reproduces bit-identical output.
   std::uint64_t base_seed = 42;
-  /// Memoize hot evaluations (k_max, totals, λ-calibration). Turning
-  /// this off never changes results, only wall time.
-  bool use_cache = true;
-  /// Optional shared cache: pass one cache across several scenarios to
-  /// reuse e.g. Hurwitz-zeta λ-calibrations between runs. When null
-  /// and use_cache, a fresh per-run cache is created.
+  /// Memo for hot evaluations (k_max, totals, λ-calibration). Pass one
+  /// cache across several scenarios to reuse e.g. Hurwitz-zeta
+  /// λ-calibrations between runs; when null, a fresh per-run cache is
+  /// created. Every model-backed plan evaluates through the memo and
+  /// bevr::kernels (batched load tables + warm-started k_max).
   std::shared_ptr<MemoCache> cache;
   /// Optional external pool to amortise thread start-up across runs;
   /// when set it overrides `threads`.
   ThreadPool* pool = nullptr;
-  /// Evaluate model-backed plans through bevr::kernels (batched load
-  /// tables + warm-started k_max) instead of point-at-a-time scalar
-  /// calls. Results are identical by the kernels' equivalence
-  /// contract; `bevr_run --no-kernels` flips this off to verify.
-  bool use_kernels = true;
 };
 
 /// Column names the given spec's rows will carry, in order.
@@ -52,12 +46,15 @@ class MemoizedVariableLoad;
 /// The memoizing façade every model-backed plan evaluates through,
 /// exposed so front ends (bevr::service) share the runner's exact
 /// evaluation path: the algebraic λ-calibration is memoized in `cache`
-/// (shared across scenarios), and with `use_kernels` cache misses are
-/// computed by a SweepEvaluator (bit-identical by the kernels
-/// equivalence contract). `cache` may be null (no memoization).
+/// (shared across scenarios), and cache misses are computed by a
+/// SweepEvaluator (bit-identical to core::VariableLoadModel by the
+/// kernels equivalence contract). Throws std::invalid_argument for a
+/// null `cache`. `kernels` is a compatibility parameter left from the
+/// two-path API for callers not yet updated: it must be true, and
+/// false throws std::invalid_argument.
 [[nodiscard]] std::shared_ptr<MemoizedVariableLoad> make_memoized_model(
     const ScenarioSpec& spec, const std::shared_ptr<MemoCache>& cache,
-    bool use_kernels);
+    bool kernels = true);
 
 /// `git describe --always --dirty` of the working tree, or "unknown"
 /// (cleanly — stderr never leaks into provenance) when git is absent

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <optional>
-#include <span>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -27,36 +25,18 @@ std::string to_string(StatusCode status) {
 
 namespace {
 
-std::string format_exact(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-// Scalar-mode batching identity: exact spec fields. The kernels batch
-// key is finer (content fingerprint), but with kernels off there is no
-// evaluator to ask, and specs are the identity that exists.
-std::string spec_key(const runner::ScenarioSpec& spec) {
-  return "spec:" + to_string(spec.load) + "(" + format_exact(spec.load_param) +
-         "," + format_exact(spec.load_mean) + ")|" + to_string(spec.util) +
-         "(" + format_exact(spec.util_param) + ")|eps=" +
-         format_exact(spec.eval.tail_eps) +
-         "|budget=" + std::to_string(spec.eval.direct_budget);
-}
-
 double elapsed_us(std::uint64_t since_ns) {
   return static_cast<double>(obs::now_ns() - since_ns) * 1e-3;
 }
 
 }  // namespace
 
-/// One evaluation context: the memoizing façade (scalar path + memo),
-/// the kernel it dispatches to (null with use_kernels off), and the
-/// batching identity. Immutable after construction; shared by every
-/// scenario name that resolves to the same key.
+/// One evaluation context: the memoizing façade (whose kernel answers
+/// every batch) and the batching identity. Immutable after
+/// construction; shared by every scenario name that resolves to the
+/// same key.
 struct Server::Entry {
   std::shared_ptr<runner::MemoizedVariableLoad> model;
-  const kernels::SweepEvaluator* kernel = nullptr;  // owned by model
   double mean = 0.0;
   std::string key;
 };
@@ -142,13 +122,10 @@ std::shared_ptr<const Server::Entry> Server::resolve_entry(
   }
   // Build through the runner's own factory so the service evaluates on
   // the exact path (memo + kernel dispatch) a bevr_run sweep would.
-  auto model =
-      runner::make_memoized_model(*spec, options_.cache, options_.use_kernels);
+  auto model = runner::make_memoized_model(*spec, options_.cache);
   auto entry = std::make_shared<Entry>();
-  entry->kernel = model->kernel();
   entry->mean = model->mean_load();
-  entry->key = entry->kernel != nullptr ? entry->kernel->batch_key()
-                                        : spec_key(*spec);
+  entry->key = model->kernel().batch_key();
   entry->model = std::move(model);
   // Two scenario names with one identity share the first-built context,
   // so their queries coalesce and share memo state.
@@ -217,6 +194,13 @@ std::future<Response> Server::submit(const Query& query, Deadline deadline) {
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
 
   const std::shared_ptr<const Entry> entry = resolve_entry(query.scenario);
+  // In a batch, a capacity <= 0 or NaN would throw in the worker, out
+  // of every caller's reach, a NaN would also break the sort, and +inf
+  // would be answered with a meaningless row: refuse them here.
+  if (!(std::isfinite(query.capacity) && query.capacity > 0.0)) {
+    throw std::invalid_argument(
+        "Server: capacity must be finite and positive");
+  }
 
   Waiter waiter;
   waiter.deadline = deadline;
@@ -412,25 +396,7 @@ void Server::process_batch(std::vector<std::unique_ptr<Ticket>> batch) {
   std::vector<kernels::SweepEvaluator::Row> rows;
   {
     obs::Histogram::Timer timer(eval_us_);
-    if (entry.kernel != nullptr) {
-      rows = entry.kernel->evaluate_grid(capacities, with_gap);
-    } else {
-      // Scalar path: the exact calls plan_variable_load makes, through
-      // the same memoizing façade — identical values by construction.
-      rows.reserve(capacities.size());
-      for (const double c : capacities) {
-        kernels::SweepEvaluator::Row row;
-        row.capacity = c;
-        const auto kmax = entry.model->k_max(c);
-        row.best_effort = entry.model->best_effort(c);
-        row.reservation = entry.model->reservation(c);
-        row.performance_gap = entry.model->performance_gap(c);
-        if (with_gap) row.bandwidth_gap = entry.model->bandwidth_gap(c);
-        row.k_max = kmax ? static_cast<double>(*kmax) : -1.0;
-        row.blocking = entry.model->blocking_fraction(c);
-        rows.push_back(row);
-      }
-    }
+    rows = entry.model->kernel().evaluate_grid(capacities, with_gap);
   }
   evaluations_.inc();
   rows_evaluated_.add(rows.size());

@@ -59,9 +59,6 @@ class Server {
     std::size_t queue_capacity = 256;
     /// Max rows per shared evaluate_grid call.
     std::size_t max_batch = 64;
-    /// Evaluate through bevr::kernels (batched tables, warm k_max).
-    /// Off = scalar MemoizedVariableLoad path; same values either way.
-    bool use_kernels = true;
     /// Memo shared across every scenario this server builds (λ-
     /// calibrations, point memos). Created internally when null.
     std::shared_ptr<runner::MemoCache> cache;
@@ -95,8 +92,9 @@ class Server {
 
   /// Admit one request. Returns a future that is always eventually
   /// resolved (kOk / kOverloaded / kDeadlineExceeded) — never
-  /// abandoned. Throws std::invalid_argument for a scenario name the
-  /// registry does not know.
+  /// abandoned. Throws std::invalid_argument, in the caller's thread
+  /// and before anything is queued, for a scenario name the registry
+  /// does not know or a capacity that is not finite and positive.
   [[nodiscard]] std::future<Response> submit(const Query& query,
                                              Deadline deadline = kNoDeadline);
 
@@ -119,10 +117,9 @@ class Server {
   }
 
   /// Coalescing/batching identity of a scenario's evaluation context —
-  /// the kernels batch key when kernels are on (content-fingerprinted,
-  /// so distinct scenario names sharing one model coalesce), an exact
-  /// spec-field key otherwise. Builds the context on first touch, like
-  /// submit does. Exposed for tests and capacity planning.
+  /// the kernels batch key (content-fingerprinted, so distinct scenario
+  /// names sharing one model coalesce). Builds the context on first
+  /// touch, like submit does. Exposed for tests and capacity planning.
   [[nodiscard]] std::string scenario_key(const std::string& scenario);
 
  private:

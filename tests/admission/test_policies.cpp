@@ -110,28 +110,6 @@ TEST(OnlineKmaxPolicy, ElasticUtilityThrows) {
                std::invalid_argument);
 }
 
-TEST(OnlineKmaxPolicy, WarmKmaxFlagCannotChangeDecisions) {
-  // The kernels fast path is documented bit-identical to core::k_max;
-  // every decision on a shared trace must match with the flag off.
-  TraceSpec spec;
-  spec.arrival_rate = 30.0;
-  spec.horizon = 40.0;
-  const auto trace = generate_trace(spec, sim::Rng(5));
-
-  auto config = small_config();
-  config.use_warm_kmax = true;
-  const auto warm = make_policy(PolicyKind::kOnlineKmax, config);
-  config.use_warm_kmax = false;
-  const auto cold = make_policy(PolicyKind::kOnlineKmax, config);
-
-  for (const auto& req : trace.requests) {
-    const auto a = warm->request(req);
-    const auto b = cold->request(req);
-    ASSERT_EQ(a.admitted, b.admitted);
-    EXPECT_DOUBLE_EQ(a.rate, b.rate);
-  }
-}
-
 TEST(AdvanceBookingPolicy, RigidConfigurationBlocksWhenFull) {
   // min_rate_fraction = 1 and no shifting: a plain yes/no reservation.
   const auto policy =

@@ -64,6 +64,12 @@ TEST(BevrRunHostile, UnknownFlags) {
   expect_usage_exit(BEVR_RUN_BINARY, "--frobnicate", "unknown option");
   expect_usage_exit(BEVR_RUN_BINARY, "fig2_rigid --x", "unknown option");
   expect_usage_exit(BEVR_RUN_BINARY, "-q", "unknown option");
+  // There is one evaluation path (memo + kernels), so no flag selects
+  // another.
+  expect_usage_exit(BEVR_RUN_BINARY, "fig2_rigid --no-kernels",
+                    "unknown option");
+  expect_usage_exit(BEVR_RUN_BINARY, "fig2_rigid --no-cache",
+                    "unknown option");
 }
 
 TEST(BevrRunHostile, MissingValues) {

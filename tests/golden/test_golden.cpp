@@ -4,13 +4,14 @@
 // Each golden is the CsvSink output of run_scenario with the default
 // run options (seed 42) minus the '#' metadata/summary comments —
 // i.e. the header line plus the data rows, every value printed %.17g
-// (round-trip exact). The matrix re-runs each scenario with kernels on
-// and off and at 1 and 4 threads; all four must match the same golden
-// byte for byte, which pins three contracts at once:
+// (round-trip exact). The matrix re-runs each scenario at 1 and 4
+// threads; both must match the same golden byte for byte, which pins
+// two contracts at once:
 //  * value regression — any numeric drift against the committed rows;
-//  * the kernels equivalence contract (on vs off);
 //  * the runner determinism contract (1 vs 4 threads, incl. the
 //    stochastic sim scenario's seed-split reproducibility).
+// The kernels' equivalence with the scalar model is pinned separately,
+// against a scalar oracle, in tests/kernels/test_kernel_equivalence.cpp.
 //
 // Refresh after an *intentional* value change:
 //   scripts/update_goldens.sh   (then review the diff like any code)
@@ -45,13 +46,11 @@ std::string strip_comments(const std::string& csv) {
   return out;
 }
 
-std::string run_to_csv(const ScenarioSpec& spec, bool use_kernels,
-                       unsigned threads) {
+std::string run_to_csv(const ScenarioSpec& spec, unsigned threads) {
   std::ostringstream out;
   CsvSink sink(out);
   RunOptions options;
   options.threads = threads;
-  options.use_kernels = use_kernels;
   run_scenario(spec, options, sink);
   return strip_comments(out.str());
 }
@@ -67,31 +66,25 @@ std::string read_golden(const std::string& scenario) {
   return content.str();
 }
 
-class GoldenSuite : public ::testing::TestWithParam<
-                        std::tuple<bool, unsigned>> {};
+class GoldenSuite : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(GoldenSuite, EveryRegistryScenarioIsBitExact) {
-  const auto [use_kernels, threads] = GetParam();
+  const unsigned threads = GetParam();
   for (const ScenarioSpec& spec : ScenarioRegistry::builtin().all()) {
     SCOPED_TRACE(spec.name);
     const std::string golden = read_golden(spec.name);
     ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(run_to_csv(spec, use_kernels, threads), golden)
-        << spec.name << " drifted from its golden (kernels="
-        << (use_kernels ? "on" : "off") << ", threads=" << threads
+    EXPECT_EQ(run_to_csv(spec, threads), golden)
+        << spec.name << " drifted from its golden (threads=" << threads
         << "). If the change is intentional, refresh with "
            "scripts/update_goldens.sh and review the diff.";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KernelsAndThreads, GoldenSuite,
-    ::testing::Values(std::make_tuple(true, 1u), std::make_tuple(true, 4u),
-                      std::make_tuple(false, 1u), std::make_tuple(false, 4u)),
-    [](const auto& labelled) {
-      return std::string(std::get<0>(labelled.param) ? "kernels" : "scalar") +
-             "_" + std::to_string(std::get<1>(labelled.param)) + "thread";
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, GoldenSuite, ::testing::Values(1u, 4u),
+                         [](const auto& labelled) {
+                           return std::to_string(labelled.param) + "thread";
+                         });
 
 // The registry must stay covered: a scenario added without a golden
 // fails here, not silently.

@@ -1,14 +1,14 @@
 // The kernels' headline guarantee: a SweepEvaluator reproduces the
 // scalar VariableLoadModel bit-for-bit — per accessor, per grid row,
-// and end-to-end through the runner for every load × utility pairing
-// the built-in registry exercises, at any thread count.
+// and end-to-end through the runner (against the scalar oracle) for
+// every load × utility pairing the built-in registry exercises, at any
+// thread count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "bevr/kernels/sweep_evaluator.h"
 #include "bevr/runner/runner.h"
 #include "bevr/utility/utility.h"
+#include "scalar_oracle.h"
 
 namespace bevr::kernels {
 namespace {
@@ -136,42 +137,24 @@ TEST(KernelEquivalence, ElasticGridRowsCarryTheSentinel) {
 }
 
 // ---------------------------------------------------------------------
-// Runner-level: kernels on vs off produce identical rows for every
-// (model, load, utility) pairing in the built-in registry, at 1/4/7
-// threads, over shrunken grids.
-
-std::vector<std::string> data_lines(const std::string& payload) {
-  std::vector<std::string> lines;
-  std::istringstream stream(payload);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.find("\"type\":\"row\"") != std::string::npos) {
-      lines.push_back(line);
-    }
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-std::string run_jsonl(const runner::ScenarioSpec& spec, unsigned threads,
-                      bool use_kernels) {
-  std::ostringstream out;
-  runner::JsonlSink sink(out);
-  runner::RunOptions options;
-  options.threads = threads;
-  options.base_seed = 42;
-  options.use_kernels = use_kernels;
-  runner::run_scenario(spec, options, sink);
-  return out.str();
-}
+// Runner-level: run_scenario's rows equal the scalar oracle's, bit for
+// bit, for every variable_load, welfare and fixed_load pairing in the
+// built-in registry plus the model columns of the simulation scenario,
+// at 1/4/7 threads, over shrunken grids.
 
 // Every distinct (model, load, utility) pairing the registry runs
-// through a kernels-backed plan, with its grid shrunk for test budget.
+// through the memo + kernels stack, with its grid shrunk for test
+// budget.
 std::vector<runner::ScenarioSpec> shrunken_registry_pairings() {
   std::vector<runner::ScenarioSpec> specs;
   std::set<std::string> seen;
   for (const auto& spec : runner::ScenarioRegistry::builtin().all()) {
-    if (spec.model == runner::ModelKind::kContinuum) continue;  // no kernels
+    if (spec.model != runner::ModelKind::kVariableLoad &&
+        spec.model != runner::ModelKind::kWelfare &&
+        spec.model != runner::ModelKind::kFixedLoad &&
+        spec.model != runner::ModelKind::kSimulation) {
+      continue;
+    }
     const std::string key = to_string(spec.model) + "|" +
                             to_string(spec.load) + "|" +
                             std::to_string(spec.load_param) + "|" +
@@ -185,10 +168,6 @@ std::vector<runner::ScenarioSpec> shrunken_registry_pairings() {
       small.sim_horizon = 300.0;
       small.sim_warmup = 50.0;
     }
-    if (small.model == runner::ModelKind::kAdmission) {
-      small.admission.trace.horizon = 150.0;
-      small.admission.warmup = 20.0;
-    }
     specs.push_back(std::move(small));
   }
   return specs;
@@ -196,16 +175,34 @@ std::vector<runner::ScenarioSpec> shrunken_registry_pairings() {
 
 TEST(KernelEquivalence, RunnerRowsMatchForEveryRegistryPairing) {
   const auto specs = shrunken_registry_pairings();
-  ASSERT_FALSE(specs.empty());
+  ASSERT_EQ(specs.size(), 15u);  // 6 variable_load, 6 welfare, 2 fixed, 1 sim
   for (const auto& spec : specs) {
-    const auto scalar = data_lines(run_jsonl(spec, 1, false));
-    ASSERT_EQ(scalar.size(), static_cast<std::size_t>(spec.grid.points))
-        << spec.name;
+    const ScalarOracle oracle(spec);
+    std::vector<ScalarOracle::Row> expected;
+    for (const double x : spec.grid.values()) expected.push_back(oracle.row(x));
     for (const unsigned threads : {1u, 4u, 7u}) {
-      EXPECT_EQ(data_lines(run_jsonl(spec, threads, true)), scalar)
-          << spec.name << " with " << threads << " threads, "
-          << to_string(spec.model) << " " << to_string(spec.load) << " "
-          << to_string(spec.util);
+      const std::string where = spec.name + " (" + to_string(spec.model) +
+                                " " + to_string(spec.load) + " " +
+                                to_string(spec.util) + ") at " +
+                                std::to_string(threads) + " threads";
+      runner::VectorSink sink;
+      runner::RunOptions options;
+      options.threads = threads;
+      runner::run_scenario(spec, options, sink);
+      ASSERT_EQ(sink.rows().size(), expected.size()) << where;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const auto& values = sink.rows()[i].values;
+        ASSERT_EQ(values.size(), expected[i].size()) << where;
+        for (std::size_t j = 0; j < values.size(); ++j) {
+          if (!expected[i][j]) continue;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(values[j]),
+                    std::bit_cast<std::uint64_t>(*expected[i][j]))
+              << where << ", row " << i << ", column "
+              << sink.columns()[j] << ": runner "
+              << runner::format_value(values[j]) << " vs oracle "
+              << runner::format_value(*expected[i][j]);
+        }
+      }
     }
   }
 }

@@ -1,8 +1,6 @@
 // Determinism of the four registry net2 scenarios: every emitted row
 // is a pure function of (spec, base_seed) — bit-identical at 1, 4 and
-// 7 worker threads, with and without the memo cache, and never a
-// function of the kernels flag (WarmKmax is documented bit-identical
-// to core::k_max).
+// 7 worker threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,13 +28,12 @@ std::vector<std::string> data_lines(const std::string& payload) {
 }
 
 std::string run_jsonl(const ScenarioSpec& spec, unsigned threads,
-                      std::uint64_t seed, bool use_kernels) {
+                      std::uint64_t seed) {
   std::ostringstream out;
   JsonlSink sink(out);
   RunOptions options;
   options.threads = threads;
   options.base_seed = seed;
-  options.use_kernels = use_kernels;
   run_scenario(spec, options, sink);
   return out.str();
 }
@@ -51,19 +48,13 @@ class Net2Determinism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Net2Determinism, RowsAreThreadCountInvariant) {
   const ScenarioSpec& spec = registry_scenario(GetParam());
-  const auto serial = data_lines(run_jsonl(spec, 1, 42, true));
-  const auto parallel4 = data_lines(run_jsonl(spec, 4, 42, true));
-  const auto parallel7 = data_lines(run_jsonl(spec, 7, 42, true));
+  const auto serial = data_lines(run_jsonl(spec, 1, 42));
+  const auto parallel4 = data_lines(run_jsonl(spec, 4, 42));
+  const auto parallel7 = data_lines(run_jsonl(spec, 7, 42));
   ASSERT_EQ(serial.size(),
             static_cast<std::size_t>(spec.grid.points));
   EXPECT_EQ(serial, parallel4);
   EXPECT_EQ(serial, parallel7);
-}
-
-TEST_P(Net2Determinism, KernelsFlagCannotChangeRows) {
-  const ScenarioSpec& spec = registry_scenario(GetParam());
-  EXPECT_EQ(data_lines(run_jsonl(spec, 4, 42, true)),
-            data_lines(run_jsonl(spec, 4, 42, false)));
 }
 
 INSTANTIATE_TEST_SUITE_P(RegistryScenarios, Net2Determinism,
@@ -77,16 +68,16 @@ INSTANTIATE_TEST_SUITE_P(RegistryScenarios, Net2Determinism,
 
 TEST(Net2Scenarios, SeedMovesTheSimulationRows) {
   const ScenarioSpec& spec = registry_scenario("net2_policy_load");
-  EXPECT_NE(data_lines(run_jsonl(spec, 1, 42, true)),
-            data_lines(run_jsonl(spec, 1, 43, true)));
+  EXPECT_NE(data_lines(run_jsonl(spec, 1, 42)),
+            data_lines(run_jsonl(spec, 1, 43)));
 }
 
 TEST(Net2Scenarios, MeanFieldScaleIsSeedFree) {
   // Pure fixed-point rows: no simulation anywhere, so even the seed
   // cannot move them.
   const ScenarioSpec& spec = registry_scenario("net2_meanfield_scale");
-  EXPECT_EQ(data_lines(run_jsonl(spec, 1, 42, true)),
-            data_lines(run_jsonl(spec, 1, 43, true)));
+  EXPECT_EQ(data_lines(run_jsonl(spec, 1, 42)),
+            data_lines(run_jsonl(spec, 1, 43)));
 }
 
 TEST(Net2Scenarios, ColumnsMatchTheSweep) {

@@ -131,21 +131,6 @@ TEST(DirectReservation, RequiresAnAdmittableUtility) {
       std::invalid_argument);
 }
 
-TEST(DirectReservation, WarmKmaxFlagCannotChangeDecisions) {
-  const Topology t = build_topology({TopologyKind::kFullMesh, 4, 7.0, {}});
-  NetPolicyConfig warm = rigid_config();
-  NetPolicyConfig cold = rigid_config();
-  cold.use_warm_kmax = false;
-  auto a = make_net_policy(NetPolicyKind::kDirectReservation, t, warm);
-  auto b = make_net_policy(NetPolicyKind::kDirectReservation, t, cold);
-  for (int i = 0; i < 20; ++i) {
-    const auto da = a->request(call(0, 1));
-    const auto db = b->request(call(0, 1));
-    ASSERT_EQ(da.admitted, db.admitted) << i;
-    EXPECT_EQ(da.rate, db.rate);
-  }
-}
-
 TEST(Dar, OverflowsToTheDrawSelectedAlternate) {
   const Topology t = build_topology({TopologyKind::kFullMesh, 4, 1.0, {}});
   auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());

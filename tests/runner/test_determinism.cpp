@@ -1,6 +1,5 @@
 // The runner's headline guarantee: a scenario's emitted payload is a
-// pure function of (spec, base_seed) — identical at any thread count,
-// with or without the memo cache.
+// pure function of (spec, base_seed) — identical at any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,13 +28,12 @@ std::vector<std::string> data_lines(const std::string& payload) {
 }
 
 std::string run_jsonl(const ScenarioSpec& spec, unsigned threads,
-                      std::uint64_t seed, bool use_cache) {
+                      std::uint64_t seed) {
   std::ostringstream out;
   JsonlSink sink(out);
   RunOptions options;
   options.threads = threads;
   options.base_seed = seed;
-  options.use_cache = use_cache;
   run_scenario(spec, options, sink);
   return out.str();
 }
@@ -53,18 +51,12 @@ ScenarioSpec small_variable_load() {
 
 TEST(Determinism, VariableLoadPayloadIsThreadCountInvariant) {
   const ScenarioSpec spec = small_variable_load();
-  const auto serial = data_lines(run_jsonl(spec, 1, 42, true));
-  const auto parallel4 = data_lines(run_jsonl(spec, 4, 42, true));
-  const auto parallel7 = data_lines(run_jsonl(spec, 7, 42, true));
+  const auto serial = data_lines(run_jsonl(spec, 1, 42));
+  const auto parallel4 = data_lines(run_jsonl(spec, 4, 42));
+  const auto parallel7 = data_lines(run_jsonl(spec, 7, 42));
   ASSERT_EQ(serial.size(), 8u);
   EXPECT_EQ(serial, parallel4);
   EXPECT_EQ(serial, parallel7);
-}
-
-TEST(Determinism, CacheDoesNotChangeThePayload) {
-  const ScenarioSpec spec = small_variable_load();
-  EXPECT_EQ(data_lines(run_jsonl(spec, 4, 42, true)),
-            data_lines(run_jsonl(spec, 4, 42, false)));
 }
 
 TEST(Determinism, WelfarePayloadIsThreadCountInvariant) {
@@ -75,8 +67,8 @@ TEST(Determinism, WelfarePayloadIsThreadCountInvariant) {
   spec.util = UtilityFamily::kRigid;
   spec.util_param = 1.0;
   spec.grid = GridSpec{0.01, 0.4, 5, true};
-  EXPECT_EQ(data_lines(run_jsonl(spec, 1, 42, true)),
-            data_lines(run_jsonl(spec, 4, 42, true)));
+  EXPECT_EQ(data_lines(run_jsonl(spec, 1, 42)),
+            data_lines(run_jsonl(spec, 4, 42)));
 }
 
 TEST(Determinism, SimulationPayloadIsThreadCountInvariantForFixedSeed) {
@@ -91,14 +83,14 @@ TEST(Determinism, SimulationPayloadIsThreadCountInvariantForFixedSeed) {
   spec.sim_horizon = 300.0;
   spec.sim_warmup = 50.0;
 
-  const auto serial = data_lines(run_jsonl(spec, 1, 7, true));
-  const auto parallel = data_lines(run_jsonl(spec, 4, 7, true));
+  const auto serial = data_lines(run_jsonl(spec, 1, 7));
+  const auto parallel = data_lines(run_jsonl(spec, 4, 7));
   ASSERT_EQ(serial.size(), 3u);
   // Bit-identical: per-task RNG is derived from (base_seed, index),
   // never from which worker ran the task.
   EXPECT_EQ(serial, parallel);
   // ... but a different base seed really does change the draws.
-  EXPECT_NE(serial, data_lines(run_jsonl(spec, 1, 8, true)));
+  EXPECT_NE(serial, data_lines(run_jsonl(spec, 1, 8)));
 }
 
 TEST(Determinism, VectorSinkMatchesJsonlRowOrder) {

@@ -1,14 +1,20 @@
 // MemoCache + MemoizedVariableLoad: bitwise equality with uncached
-// evaluation, hit/miss accounting, and concurrent access.
+// evaluation, hit/miss accounting (in the cache and, once per run, in
+// the obs registry), concurrent access, and rejection of incomplete
+// stacks.
 #include "bevr/runner/memo_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "bevr/core/variable_load.h"
 #include "bevr/dist/exponential.h"
+#include "bevr/kernels/sweep_evaluator.h"
+#include "bevr/obs/metrics.h"
 #include "bevr/runner/memoized_model.h"
+#include "bevr/runner/runner.h"
 #include "bevr/runner/thread_pool.h"
 #include "bevr/utility/utility.h"
 
@@ -36,19 +42,6 @@ TEST(MemoCache, DistinctOpsAndArgsDoNotCollide) {
   EXPECT_EQ(cache.get_or_compute("a", 2.0, [] { return 3.0; }), 3.0);
   EXPECT_EQ(cache.get_or_compute2("a", 1.0, 5.0, [] { return 4.0; }), 4.0);
   EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(MemoCache, DisabledCacheAlwaysComputes) {
-  MemoCache cache(/*enabled=*/false);
-  int computes = 0;
-  const auto compute = [&] {
-    ++computes;
-    return 7.0;
-  };
-  EXPECT_EQ(cache.get_or_compute("op", 1.0, compute), 7.0);
-  EXPECT_EQ(cache.get_or_compute("op", 1.0, compute), 7.0);
-  EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
@@ -83,6 +76,37 @@ TEST(MemoCache, ConcurrentAccessIsConsistent) {
   EXPECT_GE(stats.hits, 1u);
 }
 
+// run_scenario publishes each run's lookups to runner/cache/{hits,
+// misses} once, as the cache's stats() difference over the run — so a
+// shared cache's earlier counts are never re-published, and the
+// registry moves by exactly what the cache counted.
+TEST(MemoCache, RunsPublishTheirOwnLookupsToTheRegistryOnce) {
+  ScenarioSpec spec = *ScenarioRegistry::builtin().find("fig4_welfare_rigid");
+  spec.grid.points = 3;
+  RunOptions options;
+  options.cache = std::make_shared<MemoCache>();
+  const auto registry_counts = [] {
+    const auto snapshot = obs::MetricsRegistry::global().snapshot();
+    return CacheStats{snapshot.counter("runner/cache/hits"),
+                      snapshot.counter("runner/cache/misses")};
+  };
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    const CacheStats cache_before = options.cache->stats();
+    const CacheStats registry_before = registry_counts();
+    VectorSink sink;
+    run_scenario(spec, options, sink);
+    const CacheStats cache_after = options.cache->stats();
+    const CacheStats registry_after = registry_counts();
+    EXPECT_GT(cache_after.hits + cache_after.misses,
+              cache_before.hits + cache_before.misses);
+    EXPECT_EQ(registry_after.hits - registry_before.hits,
+              cache_after.hits - cache_before.hits);
+    EXPECT_EQ(registry_after.misses - registry_before.misses,
+              cache_after.misses - cache_before.misses);
+  }
+}
+
 class MemoizedModelTest : public ::testing::Test {
  protected:
   std::shared_ptr<const core::VariableLoadModel> model_ =
@@ -90,11 +114,19 @@ class MemoizedModelTest : public ::testing::Test {
           std::make_shared<dist::ExponentialLoad>(
               dist::ExponentialLoad::with_mean(100.0)),
           std::make_shared<utility::Rigid>(1.0));
+
+  static MemoizedVariableLoad memoize(
+      std::shared_ptr<const core::VariableLoadModel> model,
+      std::shared_ptr<MemoCache> cache) {
+    auto kernel = std::make_shared<kernels::SweepEvaluator>(model);
+    return MemoizedVariableLoad(std::move(model), std::move(cache),
+                                std::move(kernel));
+  }
 };
 
 TEST_F(MemoizedModelTest, CachedValuesAreBitwiseEqualToUncached) {
   auto cache = std::make_shared<MemoCache>();
-  const MemoizedVariableLoad memoized(model_, cache);
+  const MemoizedVariableLoad memoized = memoize(model_, cache);
   for (const double c : {12.5, 80.0, 100.0, 250.0, 640.0}) {
     // First call populates the cache, second replays from it; both
     // must be bitwise-identical to the raw model.
@@ -112,10 +144,29 @@ TEST_F(MemoizedModelTest, CachedValuesAreBitwiseEqualToUncached) {
   EXPECT_GT(cache->stats().hits, 0u);
 }
 
-TEST_F(MemoizedModelTest, NullCachePassesThrough) {
-  const MemoizedVariableLoad memoized(model_, nullptr);
-  EXPECT_EQ(memoized.best_effort(100.0), model_->best_effort(100.0));
-  EXPECT_EQ(memoized.k_max(100.0), model_->k_max(100.0));
+// There is one evaluation stack: a façade without its cache or kernel,
+// or over a kernel of another model, is refused rather than degraded.
+TEST_F(MemoizedModelTest, RejectsAnIncompleteOrMismatchedStack) {
+  const auto cache = std::make_shared<MemoCache>();
+  const auto kernel = std::make_shared<kernels::SweepEvaluator>(model_);
+  EXPECT_THROW((void)MemoizedVariableLoad(model_, nullptr, kernel),
+               std::invalid_argument);
+  EXPECT_THROW((void)MemoizedVariableLoad(model_, cache, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW((void)MemoizedVariableLoad(nullptr, cache, kernel),
+               std::invalid_argument);
+  // Same load and utility, but a distinct model object.
+  const auto twin = std::make_shared<core::VariableLoadModel>(
+      model_->load_ptr(), model_->util_ptr());
+  EXPECT_THROW((void)MemoizedVariableLoad(twin, cache, kernel),
+               std::invalid_argument);
+
+  const ScenarioSpec& spec = *ScenarioRegistry::builtin().find("fig2_rigid");
+  EXPECT_THROW((void)make_memoized_model(spec, cache, false),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_memoized_model(spec, nullptr),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)make_memoized_model(spec, cache));
 }
 
 TEST_F(MemoizedModelTest, TwoModelsSharingACacheDoNotAlias) {
@@ -127,8 +178,8 @@ TEST_F(MemoizedModelTest, TwoModelsSharingACacheDoNotAlias) {
       std::make_shared<utility::Rigid>(2.0));
 
   auto cache = std::make_shared<MemoCache>();
-  const MemoizedVariableLoad a(model_, cache);
-  const MemoizedVariableLoad b(other_model, cache);
+  const MemoizedVariableLoad a = memoize(model_, cache);
+  const MemoizedVariableLoad b = memoize(other_model, cache);
   const double c = 150.0;
   ASSERT_NE(model_->best_effort(c), other_model->best_effort(c));
   EXPECT_EQ(a.best_effort(c), model_->best_effort(c));
@@ -144,7 +195,8 @@ TEST(MemoizedElastic, KmaxNulloptRoundTripsThroughCache) {
           dist::ExponentialLoad::with_mean(100.0)),
       std::make_shared<utility::Elastic>());
   auto cache = std::make_shared<MemoCache>();
-  const MemoizedVariableLoad memoized(model, cache);
+  const MemoizedVariableLoad memoized(
+      model, cache, std::make_shared<kernels::SweepEvaluator>(model));
   EXPECT_EQ(memoized.k_max(100.0), std::nullopt);
   EXPECT_EQ(memoized.k_max(100.0), std::nullopt);  // replay from cache
   EXPECT_GT(cache->stats().hits, 0u);

@@ -1,9 +1,11 @@
 // bevr::service::Server contract tests: admission, deadlines,
 // coalescing, batching, draining shutdown — and above all the value
 // contract: responses bit-identical to direct evaluation through the
-// runner's memoized model, kernels on or off.
+// runner's memoized model.
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -43,6 +45,26 @@ TEST(ServiceSubmit, UnknownScenarioThrows) {
       std::invalid_argument);
 }
 
+// A hostile capacity is refused in the caller's thread, like an
+// unknown scenario: it never reaches a worker (where it would throw
+// outside any caller) nor a batch sort (where NaN breaks the order),
+// and the server keeps serving everyone else.
+TEST(ServiceSubmit, NonFiniteOrNonPositiveCapacityThrows) {
+  Server server{Server::Options{}};
+  for (const double c : {0.0, -1.0, std::nan(""),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(c);
+    EXPECT_THROW(
+        { auto f = server.submit({.scenario = "fig2_rigid", .capacity = c}); },
+        std::invalid_argument);
+  }
+  EXPECT_EQ(server.queue_depth(), 0u);
+  const Response ok =
+      server.submit({.scenario = "fig2_rigid", .capacity = 100.0}).get();
+  EXPECT_EQ(ok.status, StatusCode::kOk);
+}
+
 TEST(ServiceSubmit, StatusStringsAreStable) {
   EXPECT_EQ(to_string(StatusCode::kOk), "OK");
   EXPECT_EQ(to_string(StatusCode::kOverloaded), "OVERLOADED");
@@ -50,33 +72,29 @@ TEST(ServiceSubmit, StatusStringsAreStable) {
 }
 
 // The acceptance criterion: service responses bit-identical to direct
-// runner evaluation — every column, kernels on and off.
+// runner evaluation — every column.
 TEST(ServiceValues, BitIdenticalToDirectEvaluation) {
-  for (const bool use_kernels : {true, false}) {
-    SCOPED_TRACE(use_kernels ? "kernels" : "scalar");
-    auto cache = std::make_shared<runner::MemoCache>();
-    Server::Options options;
-    options.use_kernels = use_kernels;
-    options.cache = cache;
-    Server server(options);
-    Client client(server);
-    for (const char* scenario : {"fig2_rigid", "fig3_adaptive"}) {
-      const auto direct = runner::make_memoized_model(
-          *ScenarioRegistry::builtin().find(scenario), cache, use_kernels);
-      for (const double c : {25.0, 100.0, 137.5, 400.0}) {
-        const Response r = client.evaluate(
-            {.scenario = scenario, .capacity = c, .with_bandwidth_gap = true});
-        ASSERT_EQ(r.status, StatusCode::kOk);
-        EXPECT_EQ(r.best_effort, direct->best_effort(c));
-        EXPECT_EQ(r.reservation, direct->reservation(c));
-        EXPECT_EQ(r.performance_gap, direct->performance_gap(c));
-        EXPECT_EQ(r.bandwidth_gap, direct->bandwidth_gap(c));
-        EXPECT_EQ(r.blocking, direct->blocking_fraction(c));
-        EXPECT_EQ(r.total_best_effort, direct->total_best_effort(c));
-        EXPECT_EQ(r.total_reservation, direct->total_reservation(c));
-        const auto kmax = direct->k_max(c);
-        EXPECT_EQ(r.k_max, kmax ? static_cast<double>(*kmax) : -1.0);
-      }
+  auto cache = std::make_shared<runner::MemoCache>();
+  Server::Options options;
+  options.cache = cache;
+  Server server(options);
+  Client client(server);
+  for (const char* scenario : {"fig2_rigid", "fig3_adaptive"}) {
+    const auto direct = runner::make_memoized_model(
+        *ScenarioRegistry::builtin().find(scenario), cache);
+    for (const double c : {25.0, 100.0, 137.5, 400.0}) {
+      const Response r = client.evaluate(
+          {.scenario = scenario, .capacity = c, .with_bandwidth_gap = true});
+      ASSERT_EQ(r.status, StatusCode::kOk);
+      EXPECT_EQ(r.best_effort, direct->best_effort(c));
+      EXPECT_EQ(r.reservation, direct->reservation(c));
+      EXPECT_EQ(r.performance_gap, direct->performance_gap(c));
+      EXPECT_EQ(r.bandwidth_gap, direct->bandwidth_gap(c));
+      EXPECT_EQ(r.blocking, direct->blocking_fraction(c));
+      EXPECT_EQ(r.total_best_effort, direct->total_best_effort(c));
+      EXPECT_EQ(r.total_reservation, direct->total_reservation(c));
+      const auto kmax = direct->k_max(c);
+      EXPECT_EQ(r.k_max, kmax ? static_cast<double>(*kmax) : -1.0);
     }
   }
 }
@@ -207,16 +225,6 @@ TEST(ServiceCoalescing, CrossScenarioKeySharing) {
             server.scenario_key("fig4_welfare_adaptive"));
   EXPECT_NE(server.scenario_key("fig2_rigid"),
             server.scenario_key("fig2_adaptive"));
-}
-
-TEST(ServiceCoalescing, ScalarPathKeysDistinguishEvalOptions) {
-  Server::Options options;
-  options.use_kernels = false;
-  Server server(options);
-  EXPECT_EQ(server.scenario_key("fig2_rigid"),
-            server.scenario_key("fig2_welfare_rigid"));
-  EXPECT_NE(server.scenario_key("fig4_adaptive"),
-            server.scenario_key("fig4_welfare_adaptive"));
 }
 
 TEST(ServiceShutdown, DrainsAdmittedWorkThenRejects) {

@@ -84,7 +84,7 @@ TEST(ServiceStress, StormResolvesEveryRequest) {
   // Spot-check values after the storm against direct evaluation.
   const auto& registry = runner::ScenarioRegistry::builtin();
   const auto direct = runner::make_memoized_model(
-      *registry.find("fig2_rigid"), cache, /*use_kernels=*/true);
+      *registry.find("fig2_rigid"), cache);
   const Response check =
       server.submit({.scenario = "fig2_rigid", .capacity = 125.0}).get();
   ASSERT_EQ(check.status, StatusCode::kOk);
