@@ -17,8 +17,10 @@ ctest --test-dir build --output-on-failure -j "${JOBS}"
 echo "== bench smoke =="
 # Tiny-workload pass over all suites: exercises every figure/claim
 # path and the suites' built-in contracts, and writes the artifact the
-# regression gate consumes.
-./build/bench/bevr_bench --smoke --json-out BENCH_smoke.json
+# regression gate consumes. The committed baseline is the median of 7
+# warm reps, so the gated run takes the same shape (one cold rep read
+# some suites at 2-7x their warm medians).
+./build/bench/bevr_bench --smoke --warmup 1 --reps 7 --json-out BENCH_smoke.json
 # The gate must agree an artifact does not regress against itself.
 ./build/bench/bevr_bench --compare BENCH_smoke.json --baseline BENCH_smoke.json
 if [ -f bench/baselines/BENCH_smoke.json ]; then

@@ -3,7 +3,8 @@
 # its own build directory and run them. scripts/check.sh and the CI
 # `sanitizers` job both call this script, so the two share one list.
 #
-#   address  ASan+UBSan (build-asan): runner, sim, net2, kernels.
+#   address  ASan+UBSan (build-asan): runner, sim, net2, kernels, core,
+#            numerics.
 #   thread   TSan (build-tsan): the suites with shared state — runner
 #            (pool, memo), obs (sharded registry, trace buffers),
 #            service (ticket queue, worker pool), admission (calendar
@@ -23,7 +24,8 @@ case "${LEG}" in
   address)
     BUILD=build-asan
     FLAG=ON
-    SUITES=(bevr_runner_tests bevr_sim_tests bevr_net2_tests bevr_kernels_tests)
+    SUITES=(bevr_runner_tests bevr_sim_tests bevr_net2_tests bevr_kernels_tests
+            bevr_core_tests bevr_numerics_tests)
     ;;
   thread)
     BUILD=build-tsan

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bevr/core/bandwidth_gap.h"
 #include "bevr/core/fixed_load.h"
 #include "bevr/numerics/lambert_w.h"
 #include "bevr/numerics/quadrature.h"
@@ -30,24 +31,6 @@ void check_price(double p) {
   }
 }
 
-/// Solve R(C) = B(C + Δ) for Δ by bracket expansion + Brent.
-double solve_bandwidth_gap(const ContinuumModel& model, double capacity) {
-  const double target = model.reservation(capacity);
-  auto deficit = [&model, capacity, target](double delta) {
-    return model.best_effort(capacity + delta) - target;
-  };
-  if (deficit(0.0) >= 0.0) return 0.0;
-  double hi = std::max(1.0, 0.25 * capacity);
-  while (deficit(hi) < 0.0) {
-    hi *= 2.0;
-    if (hi > 1e12) return std::numeric_limits<double>::infinity();
-  }
-  const auto root = numerics::brent(deficit, 0.0, hi,
-                                    {.x_tol = 1e-10, .x_rtol = 1e-11,
-                                     .f_tol = 0.0, .max_iterations = 200});
-  return std::max(0.0, root.x);
-}
-
 /// Solve W_R(p̂) = target for p̂ ∈ [price, p_zero] (W_R decreasing with
 /// W_R(p_zero) = 0) and return the ratio p̂/price.
 double solve_price_ratio(const std::function<double(double)>& welfare_r,
@@ -69,7 +52,11 @@ double ContinuumModel::performance_gap(double capacity) const {
 }
 
 double ContinuumModel::bandwidth_gap(double capacity) const {
-  return solve_bandwidth_gap(*this, capacity);
+  return core::bandwidth_gap(
+      [this](double c) { return best_effort(c); }, capacity,
+      best_effort(capacity), reservation(capacity),
+      {.first_step = std::max(1.0, 0.25 * capacity), .x_tol = 1e-10,
+       .x_rtol = 1e-11});
 }
 
 // ---------------------------------------------------------------------------
@@ -187,12 +174,9 @@ double ExponentialRigidContinuum::bandwidth_gap(double capacity) const {
   auto f = [this, capacity](double delta) {
     return beta_ * delta - std::log1p(beta_ * (capacity + delta));
   };
-  double hi = std::max(1.0 / beta_, capacity);
-  while (f(hi) < 0.0) hi *= 2.0;
-  return numerics::brent(f, 0.0, hi,
-                         {.x_tol = 1e-12, .x_rtol = 1e-12, .f_tol = 0.0,
-                          .max_iterations = 200})
-      .x;
+  return solve_gap(f, f(0.0),
+                   {.first_step = std::max(1.0 / beta_, capacity),
+                    .x_tol = 1e-12, .x_rtol = 1e-12});
 }
 
 double ExponentialRigidContinuum::capacity_best_effort(double price) const {
@@ -283,13 +267,10 @@ double ExponentialAdaptiveContinuum::bandwidth_gap(double capacity) const {
     return beta_ * delta -
            std::log((1.0 - a_ * decay) / (1.0 - a_));
   };
-  const double limit = bandwidth_gap_limit();
-  double hi = std::max(limit * 2.0, 1.0 / beta_);
-  while (f(hi) < 0.0) hi *= 2.0;
-  return numerics::brent(f, 0.0, hi,
-                         {.x_tol = 1e-12, .x_rtol = 1e-12, .f_tol = 0.0,
-                          .max_iterations = 200})
-      .x;
+  return solve_gap(
+      f, f(0.0),
+      {.first_step = std::max(bandwidth_gap_limit() * 2.0, 1.0 / beta_),
+       .x_tol = 1e-12, .x_rtol = 1e-12});
 }
 
 double ExponentialAdaptiveContinuum::bandwidth_gap_limit() const {
@@ -378,7 +359,7 @@ double AlgebraicRigidContinuum::total_reservation(double capacity) const {
 
 double AlgebraicRigidContinuum::bandwidth_gap(double capacity) const {
   check_capacity(capacity);
-  if (capacity <= 1.0) return solve_bandwidth_gap(*this, capacity);
+  if (capacity <= 1.0) return ContinuumModel::bandwidth_gap(capacity);
   // Exact: (C+Δ)^{z−2} = (z−1)·C^{z−2}.
   return capacity * (std::pow(z_ - 1.0, 1.0 / (z_ - 2.0)) - 1.0);
 }
@@ -474,7 +455,7 @@ double AlgebraicAdaptiveContinuum::total_reservation(double capacity) const {
 
 double AlgebraicAdaptiveContinuum::bandwidth_gap(double capacity) const {
   check_capacity(capacity);
-  if (capacity <= 1.0) return solve_bandwidth_gap(*this, capacity);
+  if (capacity <= 1.0) return ContinuumModel::bandwidth_gap(capacity);
   return capacity * (std::pow(gap_ratio_power(), 1.0 / (z_ - 2.0)) - 1.0);
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bevr/core/bandwidth_gap.h"
 #include "bevr/numerics/roots.h"
 
 namespace bevr::core {
@@ -59,8 +60,9 @@ RetryModel::Solution RetryModel::solve(double capacity) const {
   }
   // Expand upward looking for a mean that carries the base arrivals.
   double hi = 2.0 * base_mean_;
+  double at_hi = carried(hi);
   constexpr double kMeanCap = 1e7;
-  while (carried(hi) < base_mean_) {
+  while (at_hi < base_mean_) {
     hi *= 2.0;
     if (hi > kMeanCap) {
       // Carried mass saturates below the arrival rate: retries pile up
@@ -69,10 +71,11 @@ RetryModel::Solution RetryModel::solve(double capacity) const {
       solution.utility = -std::numeric_limits<double>::infinity();
       return solution;
     }
+    at_hi = carried(hi);
   }
   const auto root = numerics::brent(
       [&carried, this](double m) { return carried(m) - base_mean_; },
-      base_mean_, hi,
+      {base_mean_, hi, at_base - base_mean_, at_hi - base_mean_},
       {.x_tol = 1e-9, .x_rtol = 1e-10, .f_tol = 0.0, .max_iterations = 200});
   const double inflated = root.x;
   const VariableLoadModel model(factory_(inflated), pi_);
@@ -104,19 +107,10 @@ double RetryModel::performance_gap(double capacity) const {
 double RetryModel::bandwidth_gap(double capacity) const {
   const double target = reservation(capacity);
   if (!std::isfinite(target)) return 0.0;
-  auto deficit = [this, capacity, target](double delta) {
-    return best_effort(capacity + delta) - target;
-  };
-  if (deficit(0.0) >= 0.0) return 0.0;
-  double hi = std::max(1.0, 0.25 * base_mean_);
-  while (deficit(hi) < 0.0) {
-    hi *= 2.0;
-    if (hi > 1e12) return std::numeric_limits<double>::infinity();
-  }
-  const auto root = numerics::brent(deficit, 0.0, hi,
-                                    {.x_tol = 1e-9, .x_rtol = 1e-10,
-                                     .f_tol = 0.0, .max_iterations = 200});
-  return std::max(0.0, root.x);
+  return core::bandwidth_gap(
+      [this](double c) { return best_effort(c); }, capacity,
+      best_effort(capacity), target,
+      {.first_step = std::max(1.0, 0.25 * base_mean_)});
 }
 
 double RetryModel::total_best_effort(double capacity) const {

@@ -7,9 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "bevr/core/bandwidth_gap.h"
 #include "bevr/core/fixed_load.h"
 #include "bevr/numerics/kahan.h"
-#include "bevr/numerics/roots.h"
 
 namespace bevr::core {
 
@@ -131,20 +131,11 @@ double SamplingModel::performance_gap(double capacity) const {
 }
 
 double SamplingModel::bandwidth_gap(double capacity) const {
-  const double target = reservation(capacity);
-  auto deficit = [this, capacity, target](double delta) {
-    return best_effort(capacity + delta) - target;
-  };
-  if (deficit(0.0) >= 0.0) return 0.0;
-  double hi = std::max(1.0, 0.25 * mean_);
-  while (deficit(hi) < 0.0) {
-    hi *= 2.0;
-    if (hi > 1e12) return std::numeric_limits<double>::infinity();
-  }
-  const auto root = numerics::brent(deficit, 0.0, hi,
-                                    {.x_tol = 1e-8, .x_rtol = 1e-9,
-                                     .f_tol = 0.0, .max_iterations = 200});
-  return std::max(0.0, root.x);
+  return core::bandwidth_gap(
+      [this](double c) { return best_effort(c); }, capacity,
+      best_effort(capacity), reservation(capacity),
+      {.first_step = std::max(1.0, 0.25 * mean_), .x_tol = 1e-8,
+       .x_rtol = 1e-9});
 }
 
 double SamplingModel::total_best_effort(double capacity) const {

@@ -6,10 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bevr/core/bandwidth_gap.h"
 #include "bevr/core/fixed_load.h"
 #include "bevr/numerics/kahan.h"
 #include "bevr/numerics/quadrature.h"
-#include "bevr/numerics/roots.h"
 
 namespace bevr::core {
 
@@ -125,22 +125,10 @@ double VariableLoadModel::performance_gap(double capacity) const {
 }
 
 double VariableLoadModel::bandwidth_gap(double capacity) const {
-  const double target = reservation(capacity);
-  auto deficit = [this, capacity, target](double delta) {
-    return best_effort(capacity + delta) - target;
-  };
-  if (deficit(0.0) >= 0.0) return 0.0;
-  // Expand to bracket the catch-up point.
-  double hi = std::max(1.0, 0.25 * mean_);
-  constexpr double kSearchCap = 1e12;
-  while (deficit(hi) < 0.0) {
-    hi *= 2.0;
-    if (hi > kSearchCap) return std::numeric_limits<double>::infinity();
-  }
-  const auto root = numerics::brent(
-      deficit, 0.0, hi,
-      {.x_tol = 1e-9, .x_rtol = 1e-10, .f_tol = 0.0, .max_iterations = 200});
-  return std::max(0.0, root.x);
+  return core::bandwidth_gap([this](double c) { return best_effort(c); },
+                             capacity, best_effort(capacity),
+                             reservation(capacity),
+                             {.first_step = std::max(1.0, 0.25 * mean_)});
 }
 
 double VariableLoadModel::blocking_fraction(double capacity) const {

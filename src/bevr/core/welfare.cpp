@@ -85,14 +85,16 @@ double equalizing_price_ratio(
   if (at_p <= 0.0) return 1.0;  // W_R(p) ≤ W_B(p) can only mean equality
   // W_R is nonincreasing: expand upward until it falls to the target.
   double hi = 2.0 * price;
+  double at_hi = deficit(hi);
   constexpr double kHardCap = 1e12;
-  while (deficit(hi) > 0.0) {
+  while (at_hi > 0.0) {
     hi *= 2.0;
     if (hi / price > kHardCap) {
       return std::numeric_limits<double>::infinity();
     }
+    at_hi = deficit(hi);
   }
-  const auto root = numerics::brent(deficit, price, hi,
+  const auto root = numerics::brent(deficit, {price, hi, at_p, at_hi},
                                     {.x_tol = 1e-14, .x_rtol = 1e-10,
                                      .f_tol = 0.0, .max_iterations = 200});
   return root.x / price;

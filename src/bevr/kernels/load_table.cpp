@@ -1,6 +1,7 @@
 #include "bevr/kernels/load_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +15,22 @@ obs::Counter table_builds_counter() {
   static const obs::Counter counter =
       obs::MetricsRegistry::global().counter("kernels/table_builds");
   return counter;
+}
+
+// Slot i's double: fetched on its first read and kept, or fetched every
+// time past the slots. Zero bits mark an unfilled slot (a +0.0 value is
+// fetched again at each read); racing first reads store the same bits.
+template <typename Fetch>
+double read_slot(std::vector<std::atomic<std::uint64_t>>& slots,
+                 std::int64_t i, Fetch fetch) {
+  if (i < 0 || i >= static_cast<std::int64_t>(slots.size())) return fetch();
+  std::atomic<std::uint64_t>& slot = slots[static_cast<std::size_t>(i)];
+  std::uint64_t bits = slot.load(std::memory_order_relaxed);
+  if (bits == 0) {
+    bits = std::bit_cast<std::uint64_t>(fetch());
+    slot.store(bits, std::memory_order_relaxed);
+  }
+  return std::bit_cast<double>(bits);
 }
 
 obs::Counter table_terms_counter() {
@@ -69,13 +86,8 @@ LoadTable::LoadTable(std::shared_ptr<const dist::DiscreteLoad> load,
   const auto tail_n = static_cast<std::size_t>(
       std::min<std::int64_t>(static_cast<std::int64_t>(n),
                              options.tail_table_terms));
-  tail_above_.resize(tail_n);
-  partial_mean_above_.resize(tail_n);
-  for (std::size_t i = 0; i < tail_n; ++i) {
-    const std::int64_t k = k_lo_ + static_cast<std::int64_t>(i);
-    tail_above_[i] = load_->tail_above(k);
-    partial_mean_above_[i] = load_->partial_mean_above(k);
-  }
+  tail_above_ = std::vector<std::atomic<std::uint64_t>>(tail_n);
+  partial_mean_above_ = std::vector<std::atomic<std::uint64_t>>(tail_n);
 
   table_builds_counter().inc();
   table_terms_counter().add(static_cast<std::uint64_t>(n));
@@ -91,19 +103,13 @@ numerics::KahanSum LoadTable::prefix_mass_state(std::int64_t k) const {
 }
 
 double LoadTable::tail_above(std::int64_t k) const {
-  const std::int64_t i = k - k_lo_;
-  if (i >= 0 && i < static_cast<std::int64_t>(tail_above_.size())) {
-    return tail_above_[static_cast<std::size_t>(i)];
-  }
-  return load_->tail_above(k);
+  return read_slot(tail_above_, k - k_lo_,
+                   [&] { return load_->tail_above(k); });
 }
 
 double LoadTable::partial_mean_above(std::int64_t k) const {
-  const std::int64_t i = k - k_lo_;
-  if (i >= 0 && i < static_cast<std::int64_t>(partial_mean_above_.size())) {
-    return partial_mean_above_[static_cast<std::size_t>(i)];
-  }
-  return load_->partial_mean_above(k);
+  return read_slot(partial_mean_above_, k - k_lo_,
+                   [&] { return load_->partial_mean_above(k); });
 }
 
 }  // namespace bevr::kernels

@@ -4,9 +4,9 @@
 // of times over the same load; the scalar model pays two virtual calls
 // per summation term (pmf, utility) and re-derives nothing between
 // capacities. A LoadTable freezes the capacity-independent half of
-// that work at construction: pmf(k), k·pmf(k), tail_above(k) and
-// partial_mean_above(k) over the exact direct-summation window
-// [k_lo, k_hi] the model would use, as contiguous doubles.
+// that work: pmf(k), k·pmf(k) (at construction), tail_above(k) and
+// partial_mean_above(k) (on first read) over the exact direct-summation
+// window [k_lo, k_hi] the model would use, as contiguous doubles.
 //
 // It additionally stores the *Kahan accumulator state* of the running
 // sum Σ k·pmf(k) after each term. For step utilities (Rigid, and the
@@ -18,6 +18,7 @@
 // zeroed tail, making the shortcut bit-identical, not just close.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,11 +37,9 @@ class LoadTable {
   struct Options {
     double tail_eps = 1e-13;
     std::int64_t direct_budget = 65'536;
-    /// tail_above / partial_mean_above are tabulated for at most this
-    /// many k values past k_lo (they are per-grid-point lookups, not
-    /// inner-loop reads, and each entry can cost a Hurwitz-zeta pair
-    /// for heavy-tailed loads); queries past the cap fall back to the
-    /// load's virtuals.
+    /// tail_above / partial_mean_above keep slots for at most this
+    /// many k values past k_lo, each filled on its first read; queries
+    /// past the cap call the load's virtuals every time.
     std::int64_t tail_table_terms = 4096;
   };
 
@@ -67,10 +66,9 @@ class LoadTable {
   /// order; a default (zero) state for k < k_lo. Requires k <= k_hi().
   [[nodiscard]] numerics::KahanSum prefix_mass_state(std::int64_t k) const;
 
-  /// P[K > k] / E[K·1{K > k}]: table hit for
-  /// k in [k_lo, k_lo + tail_table_terms), virtual call otherwise.
-  /// Table entries are copies of the virtuals' values, so both paths
-  /// return identical doubles.
+  /// P[K > k] / E[K·1{K > k}]: the virtual's double. Slots for k in
+  /// [k_lo, k_lo + tail_table_terms) fill on first read, from any
+  /// thread; other k call the virtual.
   [[nodiscard]] double tail_above(std::int64_t k) const;
   [[nodiscard]] double partial_mean_above(std::int64_t k) const;
 
@@ -86,8 +84,9 @@ class LoadTable {
   std::vector<double> kpmf_;
   std::vector<double> prefix_sum_;   // raw Kahan sum after each term
   std::vector<double> prefix_comp_;  // matching compensation
-  std::vector<double> tail_above_;
-  std::vector<double> partial_mean_above_;
+  /// Tail slots' bit patterns (see read_slot in load_table.cpp).
+  mutable std::vector<std::atomic<std::uint64_t>> tail_above_;
+  mutable std::vector<std::atomic<std::uint64_t>> partial_mean_above_;
 };
 
 }  // namespace bevr::kernels

@@ -7,8 +7,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bevr/core/bandwidth_gap.h"
 #include "bevr/numerics/quadrature.h"
-#include "bevr/numerics/roots.h"
 
 namespace bevr::kernels {
 
@@ -238,37 +238,21 @@ double SweepEvaluator::reservation(double capacity) const {
   return (head + tail) / mean_;
 }
 
-double SweepEvaluator::total_best_effort(double capacity) const {
-  return mean_ * best_effort(capacity);
-}
-
-double SweepEvaluator::total_reservation(double capacity) const {
-  return mean_ * reservation(capacity);
-}
-
 double SweepEvaluator::performance_gap(double capacity) const {
   return std::max(0.0, reservation(capacity) - best_effort(capacity));
 }
 
 double SweepEvaluator::bandwidth_gap(double capacity) const {
-  // Same bracketing walk and Brent options as the scalar model; since
-  // best_effort/reservation return identical doubles, the solver takes
-  // the identical iterate sequence.
-  const double target = reservation(capacity);
-  auto deficit = [this, capacity, target](double delta) {
-    return best_effort(capacity + delta) - target;
-  };
-  if (deficit(0.0) >= 0.0) return 0.0;
-  double hi = std::max(1.0, 0.25 * mean_);
-  constexpr double kSearchCap = 1e12;
-  while (deficit(hi) < 0.0) {
-    hi *= 2.0;
-    if (hi > kSearchCap) return std::numeric_limits<double>::infinity();
-  }
-  const auto root = numerics::brent(
-      deficit, 0.0, hi,
-      {.x_tol = 1e-9, .x_rtol = 1e-10, .f_tol = 0.0, .max_iterations = 200});
-  return std::max(0.0, root.x);
+  return bandwidth_gap(capacity, best_effort(capacity), reservation(capacity));
+}
+
+double SweepEvaluator::bandwidth_gap(double capacity, double best_effort_c,
+                                     double reservation_c) const {
+  // The scalar model's search; since best_effort returns identical
+  // doubles, the solver takes the identical iterate sequence.
+  return core::bandwidth_gap([this](double c) { return best_effort(c); },
+                             capacity, best_effort_c, reservation_c,
+                             {.first_step = std::max(1.0, 0.25 * mean_)});
 }
 
 double SweepEvaluator::blocking_fraction(double capacity) const {
@@ -291,7 +275,9 @@ std::vector<SweepEvaluator::Row> SweepEvaluator::evaluate_grid(
     row.best_effort = best_effort(c);
     row.reservation = reservation(c);
     row.performance_gap = std::max(0.0, row.reservation - row.best_effort);
-    if (with_bandwidth_gap) row.bandwidth_gap = bandwidth_gap(c);
+    if (with_bandwidth_gap) {
+      row.bandwidth_gap = bandwidth_gap(c, row.best_effort, row.reservation);
+    }
     const auto kmax = k_max(c);
     row.k_max = kmax ? static_cast<double>(*kmax) : -1.0;
     row.blocking = blocking_fraction(c);

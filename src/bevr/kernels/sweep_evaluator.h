@@ -43,15 +43,18 @@ class SweepEvaluator {
   explicit SweepEvaluator(
       std::shared_ptr<const core::VariableLoadModel> model);
 
-  /// Point API, mirroring VariableLoadModel member for member.
+  /// Point API, mirroring VariableLoadModel's B, R, δ, Δ and θ (totals
+  /// are k̄·B and k̄·R of these).
   [[nodiscard]] double mean_load() const { return model_->mean_load(); }
   [[nodiscard]] std::optional<std::int64_t> k_max(double capacity) const;
   [[nodiscard]] double best_effort(double capacity) const;
   [[nodiscard]] double reservation(double capacity) const;
-  [[nodiscard]] double total_best_effort(double capacity) const;
-  [[nodiscard]] double total_reservation(double capacity) const;
   [[nodiscard]] double performance_gap(double capacity) const;
   [[nodiscard]] double bandwidth_gap(double capacity) const;
+  /// Δ(C) for a caller already holding this capacity's B(C) and R(C),
+  /// so no series at C is summed again.
+  [[nodiscard]] double bandwidth_gap(double capacity, double best_effort_c,
+                                     double reservation_c) const;
   [[nodiscard]] double blocking_fraction(double capacity) const;
 
   /// One row of a whole-grid evaluation.

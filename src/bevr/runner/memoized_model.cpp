@@ -62,16 +62,13 @@ double MemoizedVariableLoad::reservation(double capacity) const {
       [&] { return kernel_->reservation(capacity); });
 }
 
+// k̄·B and k̄·R as the model computes them, over the memoized B and R.
 double MemoizedVariableLoad::total_best_effort(double capacity) const {
-  return cache_->get_or_compute2(
-      "VB", capacity, static_cast<double>(instance_id_),
-      [&] { return kernel_->total_best_effort(capacity); });
+  return mean_load() * best_effort(capacity);
 }
 
 double MemoizedVariableLoad::total_reservation(double capacity) const {
-  return cache_->get_or_compute2(
-      "VR", capacity, static_cast<double>(instance_id_),
-      [&] { return kernel_->total_reservation(capacity); });
+  return mean_load() * reservation(capacity);
 }
 
 double MemoizedVariableLoad::performance_gap(double capacity) const {
@@ -83,7 +80,10 @@ double MemoizedVariableLoad::performance_gap(double capacity) const {
 double MemoizedVariableLoad::bandwidth_gap(double capacity) const {
   return cache_->get_or_compute2(
       "Delta", capacity, static_cast<double>(instance_id_),
-      [&] { return kernel_->bandwidth_gap(capacity); });
+      [&] {
+        return kernel_->bandwidth_gap(capacity, best_effort(capacity),
+                                      reservation(capacity));
+      });
 }
 
 double MemoizedVariableLoad::blocking_fraction(double capacity) const {
@@ -103,13 +103,12 @@ void MemoizedVariableLoad::fill_grid(char tag, double lo, double hi, int n,
   if (fresh) {
     it->second.resize(static_cast<std::size_t>(n));
     // The capacity expression must match the scan in grid_refine_max
-    // term for term: x_i = lo + step·i.
+    // term for term: x_i = lo + step·i, each through the point memo.
     const double step = (hi - lo) / (n - 1);
     for (int i = 0; i < n; ++i) {
       const double x = lo + step * i;
       it->second[static_cast<std::size_t>(i)] =
-          tag == 'B' ? kernel_->total_best_effort(x)
-                     : kernel_->total_reservation(x);
+          tag == 'B' ? total_best_effort(x) : total_reservation(x);
     }
   }
   std::copy(it->second.begin(), it->second.end(), out.begin());

@@ -13,7 +13,7 @@
 //  * k_max(C) — one integer argmax shared by B, R, δ and blocking at
 //    the same capacity, and by the Δ(C) root solve probing R(C);
 //  * total_* — the welfare maximiser's dense V(C) grids overlap
-//    heavily across neighbouring prices;
+//    heavily across neighbouring prices and nested scan ranges;
 //  * bandwidth_gap — Δ at a repeated capacity is a whole root solve.
 #pragma once
 
@@ -56,10 +56,10 @@ class MemoizedVariableLoad {
   /// Bulk total-utility evaluation over the equally spaced grid
   /// lo + step·i, step = (hi − lo)/(n − 1) — the welfare maximiser's
   /// scan stage (numerics::GridEvalFn contract). out[i] receives the
-  /// exact double the scalar accessor returns at that capacity. Whole
-  /// grids are cached by (lo, hi, n): the maximiser re-scans the same
-  /// grid once per root-solve iterate, so after the first fill every
-  /// scan is a flat-vector copy.
+  /// exact double the scalar accessor returns, through that accessor's
+  /// memo. Whole grids are also cached by (lo, hi, n): the maximiser
+  /// re-scans the same grid once per root-solve iterate, so after the
+  /// first fill every scan is a flat-vector copy.
   void total_best_effort_grid(double lo, double hi, int n,
                               std::span<double> out) const;
   void total_reservation_grid(double lo, double hi, int n,

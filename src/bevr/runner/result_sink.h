@@ -47,7 +47,7 @@ struct RunSummary {
   double expand_seconds = 0.0;
   double execute_seconds = 0.0;
   double emit_seconds = 0.0;
-  CacheStats cache;
+  CacheStats cache;  ///< this run's memo lookups, not a shared cache's total
 
   /// Data-row throughput of the parallel section.
   [[nodiscard]] double rows_per_second() const {

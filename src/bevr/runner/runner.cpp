@@ -570,9 +570,9 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   std::vector<double> grid;
   std::vector<ResultRow> rows;
   std::shared_ptr<MemoCache> cache;
-  // This run's lookups reach the obs registry once, as the stats()
-  // difference across expand + execute: a shared cache carries the
-  // counts of earlier runs.
+  // This run's lookups reach the obs registry and the summary once, as
+  // the stats() difference across expand + execute: a shared cache
+  // carries the counts of earlier runs.
   CacheStats cache_before;
   Plan plan;
   ThreadPool* pool = options.pool;
@@ -654,8 +654,10 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   summary.execute_seconds = seconds_since(execute_start);
   execute_us.add(static_cast<std::uint64_t>(summary.execute_seconds * 1e6));
   const CacheStats cache_after = cache->stats();
-  cache_hits.add(cache_after.hits - cache_before.hits);
-  cache_misses.add(cache_after.misses - cache_before.misses);
+  summary.cache = {cache_after.hits - cache_before.hits,
+                   cache_after.misses - cache_before.misses};
+  cache_hits.add(summary.cache.hits);
+  cache_misses.add(summary.cache.misses);
 
   // -- emit: stream rows to the sink, strictly in grid order ---------------
   // (after the barrier; the payload cannot depend on scheduling).
@@ -671,7 +673,6 @@ RunSummary run_scenario(const ScenarioSpec& spec, const RunOptions& options,
   summary.wall_seconds = seconds_since(run_start);
   summary.task_seconds_total =
       static_cast<double>(task_nanos.load()) * 1e-9;
-  summary.cache = cache->stats();
   runs_counter.inc();
   rows_counter.add(rows.size());
 

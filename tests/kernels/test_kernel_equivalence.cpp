@@ -72,10 +72,6 @@ TEST(KernelEquivalence, PointApiIsBitIdenticalForEveryPairing) {
         ASSERT_EQ(fast.k_max(c), model->k_max(c)) << where;
         ASSERT_EQ(fast.best_effort(c), model->best_effort(c)) << where;
         ASSERT_EQ(fast.reservation(c), model->reservation(c)) << where;
-        ASSERT_EQ(fast.total_best_effort(c), model->total_best_effort(c))
-            << where;
-        ASSERT_EQ(fast.total_reservation(c), model->total_reservation(c))
-            << where;
         ASSERT_EQ(fast.performance_gap(c), model->performance_gap(c))
             << where;
         ASSERT_EQ(fast.blocking_fraction(c), model->blocking_fraction(c))

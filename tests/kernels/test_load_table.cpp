@@ -1,19 +1,29 @@
 // LoadTable contract: every tabulated value is the exact double the
-// load's virtuals produce, window bounds coincide with the model's
-// direct-summation clamps, and the stored prefix states replay a
-// scalar Kahan accumulation bit-for-bit.
+// load's virtuals produce (tail slots on first read, from any thread),
+// window bounds coincide with the model's direct-summation clamps, and
+// the stored prefix states replay a scalar Kahan accumulation
+// bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "bevr/core/variable_load.h"
 #include "bevr/dist/algebraic.h"
 #include "bevr/dist/exponential.h"
 #include "bevr/dist/poisson.h"
 #include "bevr/kernels/load_table.h"
+#include "bevr/kernels/sweep_evaluator.h"
 #include "bevr/numerics/kahan.h"
+#include "bevr/utility/utility.h"
 
 namespace bevr::kernels {
 namespace {
@@ -86,6 +96,121 @@ TEST(LoadTable, TailLookupsMatchVirtualsInsideAndPastTheCap) {
           << "k=" << k;
     }
   }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Tail slots fill on first read. The first read and every later one
+// return the virtual's exact bits, inside the slot range and past it.
+TEST(LoadTable, LazyTailSlotsHoldTheVirtualsBits) {
+  LoadTable::Options options;
+  options.tail_eps = 1e-8;
+  options.direct_budget = 4096;
+  options.tail_table_terms = 64;
+  for (const auto& load : {poisson100(), algebraic100()}) {
+    const LoadTable table(load, options);
+    for (int read = 0; read < 2; ++read) {
+      for (std::int64_t k = table.k_lo(); k < table.k_lo() + 96; ++k) {
+        ASSERT_EQ(bits(table.tail_above(k)), bits(load->tail_above(k)))
+            << load->name() << " k=" << k << " read " << read;
+        ASSERT_EQ(bits(table.partial_mean_above(k)),
+                  bits(load->partial_mean_above(k)))
+            << load->name() << " k=" << k << " read " << read;
+      }
+    }
+  }
+}
+
+// Eight threads race on unfilled slots, each walking them in its own
+// order; every read is the virtual's double.
+TEST(LoadTable, ConcurrentFirstReadsAgree) {
+  constexpr std::size_t kThreads = 8;
+  const auto load = algebraic100();
+  LoadTable::Options options;
+  options.tail_eps = 1e-8;
+  options.direct_budget = 4096;
+  options.tail_table_terms = 256;
+  const LoadTable table(load, options);
+  std::vector<std::uint64_t> tail(256), partial(256);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    const std::int64_t k = table.k_lo() + static_cast<std::int64_t>(i);
+    tail[i] = bits(load->tail_above(k));
+    partial[i] = bits(load->partial_mean_above(k));
+  }
+  std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t step = 0; step < tail.size(); ++step) {
+        // Odd threads walk downwards, so reads meet mid-table.
+        const std::size_t i = (t % 2 == 0) ? step : tail.size() - 1 - step;
+        const std::int64_t k = table.k_lo() + static_cast<std::int64_t>(i);
+        if (bits(table.tail_above(k)) != tail[i]) ++mismatches[t];
+        if (bits(table.partial_mean_above(k)) != partial[i]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+// Forwards to a load and counts its tail virtuals.
+class TailCallCounter final : public dist::DiscreteLoad {
+ public:
+  explicit TailCallCounter(std::shared_ptr<const dist::DiscreteLoad> inner)
+      : inner_(std::move(inner)) {}
+  double pmf(std::int64_t k) const override { return inner_->pmf(k); }
+  double tail_above(std::int64_t k) const override {
+    ++tail_calls;
+    return inner_->tail_above(k);
+  }
+  double cdf(std::int64_t k) const override { return inner_->cdf(k); }
+  double mean() const override { return inner_->mean(); }
+  double second_moment() const override { return inner_->second_moment(); }
+  double partial_mean_above(std::int64_t k) const override {
+    ++partial_mean_calls;
+    return inner_->partial_mean_above(k);
+  }
+  double pmf_continuous(double k) const override {
+    return inner_->pmf_continuous(k);
+  }
+  std::int64_t min_support() const override { return inner_->min_support(); }
+  std::int64_t truncation_point(double eps) const override {
+    return inner_->truncation_point(eps);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  mutable int tail_calls = 0;
+  mutable int partial_mean_calls = 0;
+
+ private:
+  std::shared_ptr<const dist::DiscreteLoad> inner_;
+};
+
+// Building an algebraic evaluator calls no tail virtual beyond the
+// seven tail_above probes of its batch key; a grid point then fills
+// just the slots it reads, once.
+TEST(LoadTable, BuildingAnEvaluatorComputesNoTails) {
+  auto load = std::make_shared<TailCallCounter>(algebraic100());
+  auto model = std::make_shared<core::VariableLoadModel>(
+      load, std::make_shared<utility::AdaptiveExp>(),
+      core::VariableLoadModel::Options{.tail_eps = 1e-10,
+                                       .direct_budget = 16'384});
+  const SweepEvaluator kernel(model);
+  EXPECT_EQ(load->tail_calls, 7);
+  EXPECT_EQ(load->partial_mean_calls, 0);
+
+  (void)kernel.evaluate_grid(std::vector<double>{200.0}, false);
+  const int tail_calls = load->tail_calls;
+  const int partial_mean_calls = load->partial_mean_calls;
+  EXPECT_GT(partial_mean_calls, 0);
+  (void)kernel.evaluate_grid(std::vector<double>{200.0}, false);
+  EXPECT_EQ(load->tail_calls, tail_calls);
+  EXPECT_EQ(load->partial_mean_calls, partial_mean_calls);
 }
 
 TEST(LoadTable, PrefixStatesReplayAScalarKahanLoop) {
