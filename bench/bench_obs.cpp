@@ -32,6 +32,7 @@
 #include "bevr/obs/trace.h"
 #include "bevr/obs/window.h"
 #include "bevr/runner/runner.h"
+#include "bevr/runner/thread_pool.h"
 
 namespace {
 
@@ -77,12 +78,20 @@ runner::ScenarioSpec welfare_scenario() {
   return spec;
 }
 
+/// The sweeps' two workers, started once per process. A pool per sweep
+/// would start two threads per sweep, and each new thread keeps its own
+/// glibc arena and, in the traced arm, its own trace buffer.
+runner::ThreadPool& sweep_pool() {
+  static runner::ThreadPool pool(2);
+  return pool;
+}
+
 /// One full welfare sweep with a fresh cache; wall seconds.
 double sweep_seconds() {
   const runner::ScenarioSpec spec = welfare_scenario();
   runner::VectorSink sink;
   runner::RunOptions options;
-  options.threads = 2;
+  options.pool = &sweep_pool();
   const auto start = Clock::now();
   (void)runner::run_scenario(spec, options, sink);
   return std::chrono::duration<double>(Clock::now() - start).count();

@@ -33,8 +33,9 @@ fi
 echo "== bench smoke: service suites vs committed baseline =="
 # The service suites carry their own contracts (lossless accounting,
 # bit-equality of served values, clean shedding under overload); gate
-# their smoke timings against the committed baseline too.
-./build/bench/bevr_bench service --smoke --json-out BENCH_service.json
+# their smoke timings against the committed baseline too, in the shape
+# it was recorded in (1 warm-up, 7 reps).
+./build/bench/bevr_bench service --smoke --warmup 1 --reps 7 --json-out BENCH_service.json
 if [ -f bench/baselines/BENCH_service.json ]; then
   ./build/bench/bevr_bench --compare BENCH_service.json \
     --baseline bench/baselines/BENCH_service.json --threshold 1.0
@@ -72,8 +73,8 @@ echo "== bench full: obs overhead gate vs committed baseline =="
 # Full mode on purpose: only full mode gates the obs suite's <= 5%
 # fully-instrumented sweep overhead, as the median ratio of 101
 # interleaved off/on sweep pairs (--smoke takes 15 and loosens it to
-# 25%).
-./build/bench/bevr_bench obs --json-out BENCH_obs.json
+# 25%). 1 warm-up and 7 reps, the shape of the committed baseline.
+./build/bench/bevr_bench obs --warmup 1 --reps 7 --json-out BENCH_obs.json
 if [ -f bench/baselines/BENCH_obs.json ]; then
   ./build/bench/bevr_bench --compare BENCH_obs.json \
     --baseline bench/baselines/BENCH_obs.json --threshold 1.0

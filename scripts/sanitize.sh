@@ -3,8 +3,9 @@
 # its own build directory and run them. scripts/check.sh and the CI
 # `sanitizers` job both call this script, so the two share one list.
 #
-#   address  ASan+UBSan (build-asan): runner, sim, net2, kernels, core,
-#            numerics.
+#   address  ASan+UBSan (build-asan): runner, sim, admission (the flow
+#            engine both admission and net2 replay through), net2,
+#            kernels, core, numerics, dist, utility.
 #   thread   TSan (build-tsan): the suites with shared state — runner
 #            (pool, memo), obs (sharded registry, trace buffers),
 #            service (ticket queue, worker pool), admission (calendar
@@ -24,8 +25,9 @@ case "${LEG}" in
   address)
     BUILD=build-asan
     FLAG=ON
-    SUITES=(bevr_runner_tests bevr_sim_tests bevr_net2_tests bevr_kernels_tests
-            bevr_core_tests bevr_numerics_tests)
+    SUITES=(bevr_runner_tests bevr_sim_tests bevr_admission_tests
+            bevr_net2_tests bevr_kernels_tests bevr_core_tests
+            bevr_numerics_tests bevr_dist_tests bevr_utility_tests)
     ;;
   thread)
     BUILD=build-tsan

@@ -42,7 +42,7 @@ class BestEffortPolicy final : public AdmissionPolicy {
   }
 
   Decision request(const FlowRequest& req) override {
-    return Decision{true, req.start, req.rate, 0, false};
+    return Decision{true, false, req.start, req.rate, 0};
   }
 
   double on_start(const FlowRequest&, const Decision&) override {
@@ -87,8 +87,8 @@ class OnlineKmaxPolicy final : public AdmissionPolicy {
     calendar_.expire_until(req.submit);  // keep the live index tight
     const auto offer =
         calendar_.reserve(req.start, req.start + req.duration, share_);
-    if (!offer.admitted) return Decision{false, req.start, 0.0, 0, false};
-    return Decision{true, req.start, share_, offer.id, false};
+    if (!offer.admitted) return Decision{false, false, req.start, 0.0, 0};
+    return Decision{true, false, req.start, share_, offer.id};
   }
 
   double on_start(const FlowRequest&, const Decision& decision) override {
@@ -97,7 +97,7 @@ class OnlineKmaxPolicy final : public AdmissionPolicy {
 
   void on_end(const FlowRequest&, const Decision& decision,
               double now) override {
-    if (decision.booking != 0) calendar_.release(decision.booking, now);
+    if (decision.held != 0) calendar_.release(decision.held, now);
   }
 
   [[nodiscard]] const CapacityCalendar* calendar() const override {
@@ -140,7 +140,7 @@ class AdvanceBookingPolicy final : public AdmissionPolicy {
     const auto offer =
         calendar_.reserve(req.start, req.start + req.duration, req.rate);
     if (offer.admitted) {
-      return Decision{true, req.start, req.rate, offer.id, false};
+      return Decision{true, false, req.start, req.rate, offer.id};
     }
     // Counteroffer path 1: take the suggested (reduced) rate if it
     // keeps at least min_rate_fraction of the ask.
@@ -149,7 +149,7 @@ class AdvanceBookingPolicy final : public AdmissionPolicy {
       const auto reduced = calendar_.reserve(
           req.start, req.start + req.duration, offer.suggested);
       if (reduced.admitted) {
-        return Decision{true, req.start, offer.suggested, reduced.id, true};
+        return Decision{true, true, req.start, offer.suggested, reduced.id};
       }
     }
     // Counteroffer path 2: full rate at a later start.
@@ -160,10 +160,10 @@ class AdvanceBookingPolicy final : public AdmissionPolicy {
       const auto shifted =
           calendar_.reserve(start, start + req.duration, req.rate);
       if (shifted.admitted) {
-        return Decision{true, start, req.rate, shifted.id, true};
+        return Decision{true, true, start, req.rate, shifted.id};
       }
     }
-    return Decision{false, req.start, 0.0, 0, false};
+    return Decision{false, false, req.start, 0.0, 0};
   }
 
   double on_start(const FlowRequest&, const Decision& decision) override {
@@ -172,7 +172,7 @@ class AdvanceBookingPolicy final : public AdmissionPolicy {
 
   void on_end(const FlowRequest&, const Decision& decision,
               double now) override {
-    if (decision.booking != 0) calendar_.release(decision.booking, now);
+    if (decision.held != 0) calendar_.release(decision.held, now);
   }
 
   [[nodiscard]] const CapacityCalendar* calendar() const override {

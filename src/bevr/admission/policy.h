@@ -14,11 +14,13 @@
 //                      reduced-rate counteroffer or shift its start
 //                      (malleable reservations).
 //
-// A policy sees each request three times: `request` at submit (the
-// admission decision; calendar bookings happen here), `on_start` when
-// an admitted flow begins service (returns the bandwidth actually
-// allocated — best effort only knows its share now), and `on_end` at
-// departure or pre-start cancellation (releases any booking).
+// Every policy, single-link or network (net2), implements FlowPolicy,
+// the interface the one flow engine drives: `request` at submit (the
+// admission decision; calendar bookings and path grabs happen here),
+// `on_start` when an admitted flow begins service (returns the
+// bandwidth actually allocated — best effort only knows its share
+// now), `on_end` at departure and `on_cancel` at a pre-start
+// retraction (each releases what the decision holds).
 #pragma once
 
 #include <cstdint>
@@ -54,20 +56,25 @@ struct PolicyConfig {
   double shift_step = 0.5;
 };
 
-class AdmissionPolicy {
+class FlowPolicy {
  public:
   /// Outcome of an admission request.
   struct Decision {
     bool admitted = false;
-    double start = 0.0;       ///< granted start (may be shifted)
-    double rate = 0.0;        ///< granted rate (may be reduced)
-    std::uint64_t booking = 0;  ///< calendar reservation id (0 = none)
-    bool countered = false;   ///< admitted via counteroffer or shift
+    /// Admitted other than as asked: a calendar counteroffer or start
+    /// shift, or a network call on its two-hop alternate.
+    bool rerouted = false;
+    double start = 0.0;  ///< granted start (may be shifted)
+    double rate = 0.0;   ///< granted rate (may be reduced)
+    /// What the decision holds, read back at on_start / on_end /
+    /// on_cancel: a calendar booking id (0 = none), or the index of a
+    /// path the network policy memoizes.
+    std::uint64_t held = 0;
   };
 
-  virtual ~AdmissionPolicy() = default;
+  virtual ~FlowPolicy() = default;
 
-  /// Admission decision at submit time; books the calendar on success.
+  /// Admission decision at submit time; books or grabs on success.
   [[nodiscard]] virtual Decision request(const FlowRequest& req) = 0;
 
   /// The flow begins service; returns the allocated bandwidth (what
@@ -76,7 +83,7 @@ class AdmissionPolicy {
                                         const Decision& decision) = 0;
 
   /// The flow departs at `now` after being served (on_start ran).
-  /// Releases any booking.
+  /// Releases what the decision holds.
   virtual void on_end(const FlowRequest& req, const Decision& decision,
                       double now) = 0;
 
@@ -89,7 +96,11 @@ class AdmissionPolicy {
                          double now) {
     on_end(req, decision, now);
   }
+};
 
+/// The single-link family: policies that may book a capacity calendar.
+class AdmissionPolicy : public FlowPolicy {
+ public:
   /// The policy's calendar, or nullptr (best effort keeps none).
   [[nodiscard]] virtual const CapacityCalendar* calendar() const {
     return nullptr;

@@ -1,7 +1,8 @@
-// Arrival traces for the admission layer.
+// Arrival traces for the flow engine: the single-link admission layer
+// and the network layer (net2) replay the same request type.
 //
-// Every admission policy comparison in the paper-style experiments
-// hinges on feeding each policy the *same* sequence of flow requests:
+// Every policy comparison in the paper-style experiments hinges on
+// feeding each policy the *same* sequence of flow requests:
 // differences in outcome must come from the policy, never from the
 // draw. An ArrivalTrace is therefore materialised once — synthetically
 // from a seeded generator, or replayed from a file — and then handed,
@@ -27,16 +28,24 @@
 
 namespace bevr::admission {
 
-/// One flow request as the admission layer sees it. `submit` is when
-/// the request reaches the admission control (book-ahead requests
-/// submit before they intend to start); `cancel`, when finite and
-/// before `start`, retracts an advance booking before it begins.
+/// One flow request. `submit` is when the request reaches admission
+/// control (book-ahead requests submit before they intend to start);
+/// `cancel`, when finite and before `start`, retracts an advance
+/// booking before it begins. `src`, `dst` and `route_draw` are read by
+/// network policies only: the defaults name the one link of the
+/// two-node topology, so a single-link trace is already a network
+/// trace. `route_draw` is pre-drawn routing entropy (which two-hop
+/// alternate a blocked DAR call tries), part of the arrival data so
+/// the choice is identical across policies and thread counts.
 struct FlowRequest {
   double submit = 0.0;
   double start = 0.0;     ///< requested service start (>= submit)
   double duration = 1.0;  ///< requested service time (> 0)
   double rate = 1.0;      ///< requested bandwidth (> 0)
   double cancel = std::numeric_limits<double>::infinity();
+  std::int32_t src = 0;  ///< origin node (net2::NodeId)
+  std::int32_t dst = 1;  ///< destination node
+  std::uint64_t route_draw = 0;
 };
 
 /// A materialised request sequence, sorted by submit time.

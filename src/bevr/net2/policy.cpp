@@ -4,9 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bevr/core/fixed_load.h"
 
@@ -33,9 +35,11 @@ void NetPolicyConfig::validate() const {
 
 namespace {
 
-/// Shared routing state: min-hop paths memoised per node pair (they
-/// are pure functions of the topology, so caching cannot change any
-/// outcome — it only keeps request() off the BFS in steady state).
+/// Shared routing state: every path a decision can hold, memoised once
+/// and named by its index (Decision::held). Min-hop paths are memoised
+/// per node pair; they are pure functions of the topology, so caching
+/// cannot change any outcome — it only keeps request() off the BFS in
+/// steady state.
 class RoutedPolicy : public NetPolicy {
  public:
   explicit RoutedPolicy(const Topology& topology)
@@ -44,7 +48,8 @@ class RoutedPolicy : public NetPolicy {
   [[nodiscard]] const LinkLedger& ledger() const override { return ledger_; }
 
  protected:
-  const std::vector<LinkId>& route(NodeId src, NodeId dst) {
+  /// Handle of the min-hop path between src and dst.
+  std::uint64_t route(NodeId src, NodeId dst) {
     const auto key = std::make_pair(src, dst);
     auto it = routes_.find(key);
     if (it == routes_.end()) {
@@ -54,16 +59,27 @@ class RoutedPolicy : public NetPolicy {
                                     std::to_string(src) + " and " +
                                     std::to_string(dst));
       }
-      it = routes_.emplace(key, std::move(*path)).first;
+      it = routes_.emplace(key, memoize(std::move(*path))).first;
     }
     return it->second;
+  }
+
+  /// Store `links` and return its handle.
+  std::uint64_t memoize(std::vector<LinkId> links) {
+    paths_.push_back(std::move(links));
+    return paths_.size() - 1;
+  }
+
+  [[nodiscard]] std::span<const LinkId> path(std::uint64_t handle) const {
+    return paths_[static_cast<std::size_t>(handle)];
   }
 
   const Topology& topology_;
   LinkLedger ledger_;
 
  private:
-  std::map<std::pair<NodeId, NodeId>, std::vector<LinkId>> routes_;
+  std::vector<std::vector<LinkId>> paths_;
+  std::map<std::pair<NodeId, NodeId>, std::uint64_t> routes_;
 };
 
 /// Admit-all on the min-hop path; a call's bandwidth is its bottleneck
@@ -76,22 +92,23 @@ class NetBestEffortPolicy final : public RoutedPolicy {
     config.validate();
   }
 
-  Decision request(const NetFlowRequest& req) override {
-    return Decision{true, false, req.rate, route(req.src, req.dst)};
+  Decision request(const FlowRequest& req) override {
+    return Decision{true, false, req.start, req.rate, route(req.src, req.dst)};
   }
 
-  double on_start(const NetFlowRequest&, const Decision& decision) override {
-    ledger_.join(decision.path);
+  double on_start(const FlowRequest&, const Decision& decision) override {
+    const std::span<const LinkId> links = path(decision.held);
+    ledger_.join(links);
     double share = std::numeric_limits<double>::infinity();
-    for (const LinkId id : decision.path) {
+    for (const LinkId id : links) {
       share = std::min(share, ledger_.capacity(id) /
                                   static_cast<double>(ledger_.count(id)));
     }
     return share;
   }
 
-  void on_end(const NetFlowRequest&, const Decision& decision) override {
-    ledger_.leave(decision.path);
+  void on_end(const FlowRequest&, const Decision& decision, double) override {
+    ledger_.leave(path(decision.held));
   }
 };
 
@@ -122,24 +139,25 @@ class DirectReservationPolicy final : public RoutedPolicy {
     }
   }
 
-  Decision request(const NetFlowRequest& req) override {
-    const std::vector<LinkId>& path = route(req.src, req.dst);
-    if (!ledger_.try_admit_counted(path, limits_)) {
-      return Decision{false, false, 0.0, {}};
+  Decision request(const FlowRequest& req) override {
+    const std::uint64_t handle = route(req.src, req.dst);
+    const std::span<const LinkId> links = path(handle);
+    if (!ledger_.try_admit_counted(links, limits_)) {
+      return Decision{false, false, req.start, 0.0, 0};
     }
     double share = std::numeric_limits<double>::infinity();
-    for (const LinkId id : path) {
+    for (const LinkId id : links) {
       share = std::min(share, shares_[static_cast<std::size_t>(id)]);
     }
-    return Decision{true, false, share, path};
+    return Decision{true, false, req.start, share, handle};
   }
 
-  double on_start(const NetFlowRequest&, const Decision& decision) override {
+  double on_start(const FlowRequest&, const Decision& decision) override {
     return decision.rate;
   }
 
-  void on_end(const NetFlowRequest&, const Decision& decision) override {
-    ledger_.release_counted(decision.path);
+  void on_end(const FlowRequest&, const Decision& decision, double) override {
+    ledger_.release_counted(path(decision.held));
   }
 
  private:
@@ -159,52 +177,60 @@ class DarPolicy final : public RoutedPolicy {
     config.validate();
   }
 
-  Decision request(const NetFlowRequest& req) override {
-    const std::vector<LinkId>& direct = route(req.src, req.dst);
-    if (ledger_.try_admit_bandwidth(direct, req.rate)) {
-      return Decision{true, false, req.rate, direct};
+  Decision request(const FlowRequest& req) override {
+    const std::uint64_t direct = route(req.src, req.dst);
+    if (ledger_.try_admit_bandwidth(path(direct), req.rate)) {
+      return Decision{true, false, req.start, req.rate, direct};
     }
     // Overflow is a single-link notion: only adjacent pairs have a
     // well-defined two-hop alternate in the DAR sense.
-    if (direct.size() == 1) {
-      const std::vector<NodeId>& vias = alternates(req.src, req.dst);
-      if (!vias.empty()) {
-        const NodeId via =
-            vias[static_cast<std::size_t>(req.route_draw % vias.size())];
-        const std::vector<LinkId> alt{*topology_.find_link(req.src, via),
-                                      *topology_.find_link(via, req.dst)};
+    if (path(direct).size() == 1) {
+      const std::vector<std::uint64_t>& alternates =
+          alternates_of(req.src, req.dst);
+      if (!alternates.empty()) {
+        const std::uint64_t alternate = alternates[static_cast<std::size_t>(
+            req.route_draw % alternates.size())];
         // Trunk reservation: admit iff the grab leaves more than
         // trunk_reserve free on each alternate leg. With integer-
         // circuit rates "free - rate >= r" is exactly "free > r after
         // the grab", the Anagnostopoulos et al. rule.
-        if (ledger_.try_admit_bandwidth(alt, req.rate, trunk_reserve_)) {
-          return Decision{true, true, req.rate, alt};
+        if (ledger_.try_admit_bandwidth(path(alternate), req.rate,
+                                        trunk_reserve_)) {
+          return Decision{true, true, req.start, req.rate, alternate};
         }
       }
     }
-    return Decision{false, false, 0.0, {}};
+    return Decision{false, false, req.start, 0.0, 0};
   }
 
-  double on_start(const NetFlowRequest&, const Decision& decision) override {
+  double on_start(const FlowRequest&, const Decision& decision) override {
     return decision.rate;
   }
 
-  void on_end(const NetFlowRequest& req, const Decision& decision) override {
-    ledger_.release_bandwidth(decision.path, req.rate);
+  void on_end(const FlowRequest& req, const Decision& decision,
+              double) override {
+    ledger_.release_bandwidth(path(decision.held), req.rate);
   }
 
  private:
-  const std::vector<NodeId>& alternates(NodeId src, NodeId dst) {
+  /// Handles of the two-hop paths src → via → dst, one per common
+  /// neighbour in ascending via order.
+  const std::vector<std::uint64_t>& alternates_of(NodeId src, NodeId dst) {
     const auto key = std::make_pair(src, dst);
-    auto it = vias_.find(key);
-    if (it == vias_.end()) {
-      it = vias_.emplace(key, topology_.two_hop_intermediates(src, dst)).first;
+    auto it = alternates_.find(key);
+    if (it == alternates_.end()) {
+      std::vector<std::uint64_t> handles;
+      for (const NodeId via : topology_.two_hop_intermediates(src, dst)) {
+        handles.push_back(memoize({*topology_.find_link(src, via),
+                                   *topology_.find_link(via, dst)}));
+      }
+      it = alternates_.emplace(key, std::move(handles)).first;
     }
     return it->second;
   }
 
   const double trunk_reserve_;
-  std::map<std::pair<NodeId, NodeId>, std::vector<NodeId>> vias_;
+  std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> alternates_;
 };
 
 }  // namespace

@@ -25,19 +25,20 @@
 //                          grab, protecting direct traffic from
 //                          overflow cascades.
 //
-// A policy sees each call three times, mirroring the single-link
-// admission layer: `request` at submit (the routing + admission
-// decision), `on_start` when an admitted call begins service (returns
-// the bandwidth the engine scores through π), and `on_end` at
-// departure. Each policy owns its LinkLedger; the engine audits it
-// after every event.
+// Every policy is an admission::FlowPolicy, driven by the same engine
+// as the single-link policies: `request` at submit (the routing +
+// admission decision), `on_start` when an admitted call begins service
+// (returns the bandwidth the engine scores through π), and `on_end` at
+// departure. A decision holds the index of a path the policy memoizes
+// (min-hop routes per pair, DAR's two-hop alternates per pair and
+// via), so no link list is copied per call. Each policy owns its
+// LinkLedger; the engine can audit it after every event.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "bevr/admission/policy.h"
 #include "bevr/net2/ledger.h"
 #include "bevr/net2/topology.h"
 #include "bevr/net2/trace.h"
@@ -67,30 +68,9 @@ struct NetPolicyConfig {
   void validate() const;
 };
 
-class NetPolicy {
+/// The network family: policies that hold paths on a LinkLedger.
+class NetPolicy : public admission::FlowPolicy {
  public:
-  /// Outcome of a routing + admission request.
-  struct Decision {
-    bool admitted = false;
-    bool alternate = false;     ///< admitted via a two-hop alternate
-    double rate = 0.0;          ///< granted bandwidth (0 when blocked)
-    std::vector<LinkId> path;   ///< links actually held when admitted
-  };
-
-  virtual ~NetPolicy() = default;
-
-  /// Routing + admission decision at submit time; on success the
-  /// ledger already holds the path (all-or-nothing with rollback).
-  [[nodiscard]] virtual Decision request(const NetFlowRequest& req) = 0;
-
-  /// The call begins service; returns the allocated bandwidth (what
-  /// the engine scores through π).
-  [[nodiscard]] virtual double on_start(const NetFlowRequest& req,
-                                        const Decision& decision) = 0;
-
-  /// The call departs; releases its path.
-  virtual void on_end(const NetFlowRequest& req, const Decision& decision) = 0;
-
   /// The policy's per-link ledger — the engine's invariant-auditing
   /// sink calls ledger().audit() after every event.
   [[nodiscard]] virtual const LinkLedger& ledger() const = 0;

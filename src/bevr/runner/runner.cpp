@@ -300,7 +300,12 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
                std::vector<ResultRow>& rows, std::uint64_t base_seed) {
   auto pi = make_utility(spec);
   const Net2Spec net = spec.net2;
-  return Plan{[&rows, &grid, pi, net, base_seed](std::int64_t i) {
+  // A fixed point that stops at max_iterations still fills its row;
+  // this counter is what says so.
+  const obs::Counter not_converged = obs::MetricsRegistry::global().counter(
+      "net2/meanfield/not_converged");
+  return Plan{[&rows, &grid, pi, net, base_seed,
+               not_converged](std::int64_t i) {
     const double x = grid[static_cast<std::size_t>(i)];
     auto& values = rows[static_cast<std::size_t>(i)].values;
 
@@ -309,6 +314,11 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
     mf.trunk_reserve = static_cast<std::int64_t>(net.trunk_reserve + 0.5);
     mf.damping = net.mf_damping;
     mf.tolerance = net.mf_tolerance;
+    const auto mean_field = [&mf, &not_converged] {
+      const net2::MeanFieldResult result = net2::evaluate_mean_field(mf);
+      if (!result.converged) not_converged.inc();
+      return result;
+    };
 
     if (net.sweep == Net2Sweep::kMeanFieldScale) {
       // The grid is per-link capacity; place the per-pair load at the
@@ -317,7 +327,7 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
       mf.capacity = static_cast<std::int64_t>(x + 0.5);
       mf.pair_load = numerics::erlang_b_offered_load(mf.capacity,
                                                      net.mf_target_blocking);
-      const auto result = net2::evaluate_mean_field(mf);
+      const auto result = mean_field();
       values = {static_cast<double>(mf.capacity),
                 mf.pair_load,
                 result.blocking_direct,
@@ -387,7 +397,7 @@ Plan plan_net2(const ScenarioSpec& spec, const std::vector<double>& grid,
     // kMeanFieldCheck / kNodes: DAR at r against the fixed point.
     const auto dar = run_policy(net2::NetPolicyKind::kDar, net.trunk_reserve);
     mf.pair_load = trace_spec.pair_arrival_rate * trace_spec.mean_duration;
-    const auto model = net2::evaluate_mean_field(mf);
+    const auto model = mean_field();
     const double abs_error =
         std::abs(dar.blocking_probability - model.blocking);
     if (net.sweep == Net2Sweep::kNodes) {

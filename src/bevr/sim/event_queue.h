@@ -1,10 +1,11 @@
 // Discrete-event scheduler: a time-ordered queue of callbacks with
 // FIFO tie-breaking and O(1) cancellation. Shared by the flow-level
 // simulator (bevr::sim), the network experiment (bevr::net), and the
-// admission (bevr::admission) and network (bevr::net2) engines, which
-// retract scheduled events (a pre-start cancellation retracts the
-// flow's start) and stream their trace submits through step_before()
-// and advance_to() rather than scheduling them up front.
+// flow engine (bevr::admission) that admission and network (bevr::net2)
+// policies replay through, which retracts scheduled events (a
+// pre-start cancellation retracts the flow's start) and streams its
+// trace submits through step_before() and advance_to() rather than
+// scheduling them up front.
 //
 // Layout (DESIGN.md §2.5): a std::vector binary heap of 24-byte
 // {time, seq, slot} entries over a free-list-recycled table of

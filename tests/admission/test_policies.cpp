@@ -37,8 +37,8 @@ TEST(BestEffortPolicy, AdmitsEverythingAndSplitsEvenly) {
   for (int i = 0; i < 40; ++i) {
     const auto d = policy->request(request_at(0.0));
     EXPECT_TRUE(d.admitted);
-    EXPECT_FALSE(d.countered);
-    EXPECT_EQ(d.booking, 0u);
+    EXPECT_FALSE(d.rerouted);
+    EXPECT_EQ(d.held, 0u);
     decisions.push_back(d);
   }
   // Shares are capacity / active-count as flows pile on.
@@ -76,7 +76,7 @@ TEST(OnlineKmaxPolicy, AdmitsExactlyKmaxConcurrentFlows) {
     const auto d = policy->request(request_at(0.0));
     ASSERT_TRUE(d.admitted) << "i=" << i;
     EXPECT_DOUBLE_EQ(d.rate, 1.0);
-    EXPECT_GT(d.booking, 0u);
+    EXPECT_GT(d.held, 0u);
     admitted.push_back(d);
   }
   const auto full = policy->request(request_at(0.0));
@@ -117,7 +117,7 @@ TEST(AdvanceBookingPolicy, RigidConfigurationBlocksWhenFull) {
   ASSERT_TRUE(policy->request(request_at(0.0, 4.0, 6.0)).admitted);
   const auto d = policy->request(request_at(0.0, 4.0, 6.0));
   EXPECT_FALSE(d.admitted);
-  EXPECT_EQ(d.booking, 0u);
+  EXPECT_EQ(d.held, 0u);
 }
 
 TEST(AdvanceBookingPolicy, AcceptsCounteroffersAboveTheFloor) {
@@ -128,7 +128,7 @@ TEST(AdvanceBookingPolicy, AcceptsCounteroffersAboveTheFloor) {
   // 4.0 of the 6.0 ask remains: 4/6 ≥ 0.5 ⇒ take the reduced rate.
   const auto d = policy->request(request_at(0.0, 4.0, 6.0));
   EXPECT_TRUE(d.admitted);
-  EXPECT_TRUE(d.countered);
+  EXPECT_TRUE(d.rerouted);
   EXPECT_DOUBLE_EQ(d.rate, 4.0);
   EXPECT_DOUBLE_EQ(d.start, 0.0);
   const auto req = request_at(0.0, 4.0, 6.0);
@@ -153,7 +153,7 @@ TEST(AdvanceBookingPolicy, ShiftsTheStartWhenTheRateIsNotMalleable) {
   // Full at t=0 and t=1 (window overlap); free from t=2.
   const auto d = policy->request(request_at(0.0, 2.0, 10.0));
   EXPECT_TRUE(d.admitted);
-  EXPECT_TRUE(d.countered);
+  EXPECT_TRUE(d.rerouted);
   EXPECT_DOUBLE_EQ(d.start, 2.0);
   EXPECT_DOUBLE_EQ(d.rate, 10.0);
 }

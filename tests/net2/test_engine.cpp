@@ -29,11 +29,12 @@ NetPolicyConfig rigid_config(double trunk_reserve = 0.0) {
   return config;
 }
 
-NetFlowRequest call(NodeId src, NodeId dst, double submit, double duration) {
-  NetFlowRequest req;
+FlowRequest call(NodeId src, NodeId dst, double submit, double duration) {
+  FlowRequest req;
   req.src = src;
   req.dst = dst;
   req.submit = submit;
+  req.start = submit;
   req.duration = duration;
   return req;
 }
@@ -226,17 +227,20 @@ class CountingPolicy final : public NetPolicy {
  public:
   explicit CountingPolicy(std::unique_ptr<NetPolicy> inner)
       : inner_(std::move(inner)) {}
-  Decision request(const NetFlowRequest& req) override {
+  Decision request(const FlowRequest& req) override {
     ++unaudited_;
+    ++calls_;
     return inner_->request(req);
   }
-  double on_start(const NetFlowRequest& req, const Decision& d) override {
+  double on_start(const FlowRequest& req, const Decision& d) override {
     ++unaudited_;
+    ++calls_;
     return inner_->on_start(req, d);
   }
-  void on_end(const NetFlowRequest& req, const Decision& d) override {
+  void on_end(const FlowRequest& req, const Decision& d, double now) override {
     ++unaudited_;
-    inner_->on_end(req, d);
+    ++calls_;
+    inner_->on_end(req, d, now);
   }
   const LinkLedger& ledger() const override {
     max_unaudited_ = std::max(max_unaudited_, unaudited_);
@@ -247,6 +251,7 @@ class CountingPolicy final : public NetPolicy {
   mutable std::size_t max_unaudited_ = 0;
   mutable std::size_t ledger_calls_ = 0;
   mutable std::size_t unaudited_ = 0;
+  std::size_t calls_ = 0;  ///< policy callbacks, never reset
 
  private:
   std::unique_ptr<NetPolicy> inner_;
@@ -322,7 +327,7 @@ TEST(RunNetwork, RejectsNonFiniteFieldsBeforeRunningAnything) {
   const double inf = std::numeric_limits<double>::infinity();
   const Topology t = build_topology({TopologyKind::kTwoNode, 2, 2.0, {}});
   const Rigid pi(1.0);
-  const auto rejects = [&](NetFlowRequest bad) {
+  const auto rejects = [&](FlowRequest bad) {
     auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());
     NetTrace trace;
     trace.horizon = 10.0;
@@ -331,7 +336,7 @@ TEST(RunNetwork, RejectsNonFiniteFieldsBeforeRunningAnything) {
                  std::invalid_argument);
     EXPECT_EQ(policy->ledger().peak_count(0), 0);  // nothing ran
   };
-  NetFlowRequest req = call(0, 1, 1.0, 1.0);
+  FlowRequest req = call(0, 1, 1.0, 1.0);
   req.submit = nan;
   rejects(req);
   req.submit = inf;
@@ -346,6 +351,33 @@ TEST(RunNetwork, RejectsNonFiniteFieldsBeforeRunningAnything) {
   rejects(req);
   req.rate = inf;
   rejects(req);
+}
+
+TEST(RunNetwork, RejectsBookAheadAndCancellationBeforeAnyPolicyCall) {
+  // The ledger holds no future windows: a call must start when it
+  // submits and never cancel. A valid first call, then the bad one:
+  // the run throws before the policy sees either.
+  const Topology t = build_topology({TopologyKind::kTwoNode, 2, 2.0, {}});
+  const Rigid pi(1.0);
+  const auto rejects = [&](FlowRequest bad) {
+    CountingPolicy policy(
+        make_net_policy(NetPolicyKind::kDar, t, rigid_config()));
+    NetTrace trace;
+    trace.requests = {call(0, 1, 0.0, 1.0), bad};
+    EXPECT_THROW((void)run_network(trace, policy, pi), std::invalid_argument);
+    EXPECT_EQ(policy.calls_, 0u);
+    EXPECT_EQ(policy.ledger().peak_count(0), 0);
+  };
+  FlowRequest book_ahead = call(0, 1, 1.0, 1.0);
+  book_ahead.start = 2.0;
+  rejects(book_ahead);
+  FlowRequest cancelling = call(0, 1, 1.0, 1.0);
+  cancelling.cancel = 1.5;
+  rejects(cancelling);
+  // Any finite cancel is refused, even one past the start that would
+  // never fire.
+  cancelling.cancel = 3.0;
+  rejects(cancelling);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// The single-link reduction: on a two-node topology with integral
-// capacity, unit rates, and no book-ahead, every network policy must
-// reproduce its single-link admission counterpart bit for bit — the
-// engines replay the same trace through the same event choreography,
-// so offered/admitted/blocked, mean utility, and blocking probability
-// are compared with exact double equality, not tolerances. Plus the
-// blocking monotonicity properties in load and capacity.
+// Reductions between the two policy families on the one flow engine.
+// On a two-node topology with integral capacity, unit rates, and no
+// book-ahead, every network policy must reproduce its single-link
+// counterpart bit for bit: the same admission trace (its default
+// src/dst name the two-node link, so it replays as is) runs through
+// the same engine, so offered/admitted/blocked, mean utility, and
+// blocking probability are compared with exact double equality, not
+// tolerances. Plus the blocking monotonicity properties in load and
+// capacity.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -57,7 +59,6 @@ NetReport run_two_node(const admission::ArrivalTrace& trace,
                        const std::shared_ptr<const UtilityFunction>& pi) {
   static const Topology topology =
       build_topology({TopologyKind::kTwoNode, 2, kCapacity, {}});
-  const NetTrace lifted = from_single_link(trace, 0, 1);
   NetPolicyConfig config;
   config.pi = pi;
   config.trunk_reserve = 0.0;
@@ -65,7 +66,7 @@ NetReport run_two_node(const admission::ArrivalTrace& trace,
   NetEngineConfig engine;
   engine.warmup = kWarmup;
   engine.audit = true;  // the reduction runs under the invariant sink
-  return run_network(lifted, *policy, *pi, engine);
+  return run_network(trace, *policy, *pi, engine);
 }
 
 void expect_bit_identical(const admission::AdmissionReport& single,
@@ -110,7 +111,7 @@ TEST(SingleLinkReduction, DarWithZeroReserveMatchesOnlineKmax) {
   }
 }
 
-// Best effort: both engines admit everything and score the bottleneck
+// Best effort: both policies admit everything and score the bottleneck
 // share capacity/active captured at start — the same division on the
 // same counts in the same order. AdaptiveExp makes the score a
 // nontrivial function of the share, so this pins the full scoring

@@ -1,13 +1,17 @@
 // Determinism of the four registry net2 scenarios: every emitted row
 // is a pure function of (spec, base_seed) — bit-identical at 1, 4 and
-// 7 worker threads.
+// 7 worker threads. Plus the net2/meanfield/not_converged counter:
+// zero on every registry scenario, one per point that stops at
+// max_iterations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bevr/obs/metrics.h"
 #include "bevr/runner/runner.h"
 #include "bevr/runner/scenario.h"
 
@@ -44,6 +48,11 @@ const ScenarioSpec& registry_scenario(const std::string& name) {
   return *spec;
 }
 
+std::uint64_t not_converged() {
+  return obs::MetricsRegistry::global().snapshot().counter(
+      "net2/meanfield/not_converged");
+}
+
 class Net2Determinism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Net2Determinism, RowsAreThreadCountInvariant) {
@@ -55,6 +64,13 @@ TEST_P(Net2Determinism, RowsAreThreadCountInvariant) {
             static_cast<std::size_t>(spec.grid.points));
   EXPECT_EQ(serial, parallel4);
   EXPECT_EQ(serial, parallel7);
+}
+
+TEST_P(Net2Determinism, EveryMeanFieldPointConverges) {
+  ASSERT_TRUE(obs::MetricsRegistry::global().enabled());
+  const std::uint64_t before = not_converged();
+  (void)run_jsonl(registry_scenario(GetParam()), 4, 42);
+  EXPECT_EQ(not_converged(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(RegistryScenarios, Net2Determinism,
@@ -78,6 +94,31 @@ TEST(Net2Scenarios, MeanFieldScaleIsSeedFree) {
   const ScenarioSpec& spec = registry_scenario("net2_meanfield_scale");
   EXPECT_EQ(data_lines(run_jsonl(spec, 1, 42)),
             data_lines(run_jsonl(spec, 1, 43)));
+}
+
+TEST(Net2Scenarios, NonConvergedMeanFieldPointsAreCounted) {
+  // Damping 1e-6 moves σ by a millionth of the residual per step, so no
+  // point reaches the 1e-12 tolerance in 10⁴ iterations. Each still
+  // emits its row; the counter says it did not converge. Both mean-
+  // field paths: the pure fixed point, and simulation against it.
+  ASSERT_TRUE(obs::MetricsRegistry::global().enabled());
+  ScenarioSpec pure = registry_scenario("net2_meanfield_scale");
+  pure.grid = GridSpec{10.0, 40.0, 3, false};
+  pure.net2.mf_damping = 1e-6;
+  pure.net2.mf_tolerance = 1e-12;
+  std::uint64_t before = not_converged();
+  EXPECT_EQ(data_lines(run_jsonl(pure, 1, 42)).size(), 3u);
+  EXPECT_EQ(not_converged() - before, 3u);
+
+  ScenarioSpec check = registry_scenario("net2_fixed_point_check");
+  check.grid = GridSpec{4.0, 6.0, 2, false};
+  check.net2.nodes = 4;
+  check.net2.trace.horizon = 20.0;
+  check.net2.warmup = 2.0;
+  check.net2.mf_damping = 1e-6;
+  before = not_converged();
+  EXPECT_EQ(data_lines(run_jsonl(check, 2, 42)).size(), 2u);
+  EXPECT_EQ(not_converged() - before, 2u);
 }
 
 TEST(Net2Scenarios, ColumnsMatchTheSweep) {

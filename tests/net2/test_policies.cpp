@@ -18,9 +18,9 @@ namespace {
 using utility::Elastic;
 using utility::Rigid;
 
-NetFlowRequest call(NodeId src, NodeId dst, double rate = 1.0,
-                    std::uint64_t route_draw = 0) {
-  NetFlowRequest req;
+FlowRequest call(NodeId src, NodeId dst, double rate = 1.0,
+                 std::uint64_t route_draw = 0) {
+  FlowRequest req;
   req.src = src;
   req.dst = dst;
   req.rate = rate;
@@ -58,17 +58,19 @@ TEST(NetBestEffort, AdmitsEverythingAndSharesTheBottleneck) {
 
   const auto first = policy->request(call(1, 2));
   ASSERT_TRUE(first.admitted);
-  EXPECT_FALSE(first.alternate);
-  EXPECT_EQ(first.path.size(), 2u);  // through the hub
+  EXPECT_FALSE(first.rerouted);
   EXPECT_DOUBLE_EQ(policy->on_start(call(1, 2), first), 12.0);  // alone
+  // Through the hub: both hub links carry the call.
+  EXPECT_EQ(policy->ledger().count(*t.find_link(0, 1)), 1);
+  EXPECT_EQ(policy->ledger().count(*t.find_link(0, 2)), 1);
 
   // A second call overlapping on link 0-1 halves the share there.
   const auto second = policy->request(call(1, 3));
   ASSERT_TRUE(second.admitted);
   EXPECT_DOUBLE_EQ(policy->on_start(call(1, 3), second), 6.0);
 
-  policy->on_end(call(1, 2), first);
-  policy->on_end(call(1, 3), second);
+  policy->on_end(call(1, 2), first, 0.0);
+  policy->on_end(call(1, 3), second, 0.0);
   EXPECT_EQ(policy->ledger().count(0), 0);
 }
 
@@ -81,7 +83,7 @@ TEST(NetBestEffort, ShareIsTheMinimumOverThePath) {
   const auto d = policy->request(call(0, 2));
   ASSERT_TRUE(d.admitted);
   EXPECT_DOUBLE_EQ(policy->on_start(call(0, 2), d), 2.0);
-  policy->on_end(call(0, 2), d);
+  policy->on_end(call(0, 2), d, 0.0);
 }
 
 TEST(DirectReservation, EnforcesPerLinkKmaxSlots) {
@@ -100,7 +102,7 @@ TEST(DirectReservation, EnforcesPerLinkKmaxSlots) {
   const auto fourth = policy->request(call(0, 1));
   EXPECT_FALSE(fourth.admitted);
   EXPECT_DOUBLE_EQ(fourth.rate, 0.0);
-  policy->on_end(call(0, 1), held.back());
+  policy->on_end(call(0, 1), held.back(), 0.0);
   held.pop_back();
   EXPECT_TRUE(policy->request(call(0, 1)).admitted);  // slot came back
 }
@@ -116,7 +118,7 @@ TEST(DirectReservation, ShareIsTheMinimumOverThePath) {
   const auto d = policy->request(call(0, 2));
   ASSERT_TRUE(d.admitted);
   EXPECT_DOUBLE_EQ(d.rate, 1.0);  // min(4/4, 3.5/3) = 1
-  policy->on_end(call(0, 2), d);
+  policy->on_end(call(0, 2), d, 0.0);
 }
 
 TEST(DirectReservation, RequiresAnAdmittableUtility) {
@@ -135,34 +137,35 @@ TEST(Dar, OverflowsToTheDrawSelectedAlternate) {
   const Topology t = build_topology({TopologyKind::kFullMesh, 4, 1.0, {}});
   auto policy = make_net_policy(NetPolicyKind::kDar, t, rigid_config());
   // Fill the direct 0-1 link.
+  const LinkLedger& ledger = policy->ledger();
   const auto direct = policy->request(call(0, 1));
   ASSERT_TRUE(direct.admitted);
-  EXPECT_FALSE(direct.alternate);
-  ASSERT_EQ(direct.path.size(), 1u);
+  EXPECT_FALSE(direct.rerouted);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(0, 1)), 1.0);
 
   // Next 0-1 call overflows; vias for (0,1) are {2, 3} so draw 1
   // selects via 3.
   const auto alt = policy->request(call(0, 1, 1.0, /*route_draw=*/1));
   ASSERT_TRUE(alt.admitted);
-  EXPECT_TRUE(alt.alternate);
-  ASSERT_EQ(alt.path.size(), 2u);
-  EXPECT_EQ(alt.path[0], *t.find_link(0, 3));
-  EXPECT_EQ(alt.path[1], *t.find_link(3, 1));
+  EXPECT_TRUE(alt.rerouted);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(0, 3)), 1.0);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(3, 1)), 1.0);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(0, 2)), 0.0);
 
-  // Draw 0 would pick via 2; both its legs are free, so it succeeds
-  // on the other alternate.
+  // Draw 0 picks via 2, whose legs are free.
   const auto alt2 = policy->request(call(0, 1, 1.0, /*route_draw=*/0));
   ASSERT_TRUE(alt2.admitted);
-  EXPECT_TRUE(alt2.alternate);
-  EXPECT_EQ(alt2.path[0], *t.find_link(0, 2));
+  EXPECT_TRUE(alt2.rerouted);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(0, 2)), 1.0);
+  EXPECT_DOUBLE_EQ(ledger.used(*t.find_link(2, 1)), 1.0);
 
   // All alternates now hold full links: the next overflow is lost.
   const auto lost = policy->request(call(0, 1, 1.0, /*route_draw=*/7));
   EXPECT_FALSE(lost.admitted);
 
-  policy->on_end(call(0, 1), direct);
-  policy->on_end(call(0, 1), alt);
-  policy->on_end(call(0, 1), alt2);
+  policy->on_end(call(0, 1), direct, 0.0);
+  policy->on_end(call(0, 1), alt, 0.0);
+  policy->on_end(call(0, 1), alt2, 0.0);
   for (LinkId id = 0; id < 6; ++id) {
     EXPECT_DOUBLE_EQ(policy->ledger().used(id), 0.0) << "link " << id;
   }
@@ -182,10 +185,10 @@ TEST(Dar, TrunkReservationProtectsDirectTraffic) {
   // overflows fit...
   const auto first = policy->request(call(0, 1));
   ASSERT_TRUE(first.admitted);
-  EXPECT_TRUE(first.alternate);
+  EXPECT_TRUE(first.rerouted);
   const auto second = policy->request(call(0, 1));
   ASSERT_TRUE(second.admitted);
-  EXPECT_TRUE(second.alternate);
+  EXPECT_TRUE(second.rerouted);
   // ...but the third finds only 2 free — not more than r — and is
   // refused even though raw capacity remains.
   const auto third = policy->request(call(0, 1));
@@ -217,7 +220,8 @@ TEST(Dar, RouteDrawWrapsModuloTheViaCount) {
   // Vias for (0,1) are {2, 3}: draw 4 wraps to via 2.
   const auto alt = policy->request(call(0, 1, 1.0, /*route_draw=*/4));
   ASSERT_TRUE(alt.admitted);
-  EXPECT_EQ(alt.path[0], *t.find_link(0, 2));
+  EXPECT_DOUBLE_EQ(policy->ledger().used(*t.find_link(0, 2)), 1.0);
+  EXPECT_DOUBLE_EQ(policy->ledger().used(*t.find_link(0, 3)), 0.0);
 }
 
 TEST(NetPolicies, UnroutablePairsThrow) {
