@@ -77,18 +77,30 @@ ArrivalTrace generate_trace(const TraceSpec& spec, const sim::Rng& root) {
   sim::Rng leads = root.split(2);
   sim::Rng cancels = root.split(3);
 
+  // The gap to the next start, drawn from the interarrival stream.
+  const auto gap = [&spec](sim::Rng& rng) {
+    if (spec.kind == TraceKind::kPoisson) {
+      return rng.exponential(1.0 / spec.arrival_rate);
+    }
+    const bool hot = rng.bernoulli(spec.burst_hot_p);
+    return rng.exponential(1.0 /
+                           (hot ? spec.burst_hot_rate : spec.burst_cold_rate));
+  };
+  // Count the requests on a copy of the interarrival stream, so the
+  // trace is allocated once, at its exact size.
+  std::size_t requests = 0;
+  sim::Rng count = interarrivals;
+  for (double start = gap(count); start <= spec.horizon;
+       start += gap(count)) {
+    ++requests;
+  }
+
   ArrivalTrace trace;
   trace.horizon = spec.horizon;
+  trace.requests.reserve(requests);
   double start = 0.0;
   for (;;) {
-    double mean_gap = 0.0;
-    if (spec.kind == TraceKind::kPoisson) {
-      mean_gap = 1.0 / spec.arrival_rate;
-    } else {
-      const bool hot = interarrivals.bernoulli(spec.burst_hot_p);
-      mean_gap = 1.0 / (hot ? spec.burst_hot_rate : spec.burst_cold_rate);
-    }
-    start += interarrivals.exponential(mean_gap);
+    start += gap(interarrivals);
     if (start > spec.horizon) break;
 
     FlowRequest req;
@@ -107,11 +119,17 @@ ArrivalTrace generate_trace(const TraceSpec& spec, const sim::Rng& root) {
   }
   // The generator emits in start order; the admission engine consumes
   // in submit order. Stable sort keeps simultaneous submits in their
-  // generation order, which the determinism goldens pin.
-  std::stable_sort(trace.requests.begin(), trace.requests.end(),
-                   [](const FlowRequest& a, const FlowRequest& b) {
-                     return a.submit < b.submit;
-                   });
+  // generation order, which the determinism goldens pin. Without
+  // book-ahead the trace is already in submit order, and the sort's
+  // buffer is skipped.
+  const auto submits_before = [](const FlowRequest& a, const FlowRequest& b) {
+    return a.submit < b.submit;
+  };
+  if (!std::is_sorted(trace.requests.begin(), trace.requests.end(),
+                      submits_before)) {
+    std::stable_sort(trace.requests.begin(), trace.requests.end(),
+                     submits_before);
+  }
   return trace;
 }
 

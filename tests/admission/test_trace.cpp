@@ -107,6 +107,8 @@ TEST(GenerateTrace, InvariantsHold) {
   EXPECT_GT(cancels, trace.requests.size() / 10);
   EXPECT_LT(cancels, trace.requests.size() / 2);
   EXPECT_LE(trace.horizon, spec.horizon);
+  // Allocated once, at its exact size.
+  EXPECT_EQ(trace.requests.capacity(), trace.requests.size());
 }
 
 TEST(GenerateTrace, NoBookAheadMeansImmediateRequests) {
@@ -125,6 +127,7 @@ TEST(GenerateTrace, BurstyKindModulatesArrivals) {
   spec.burst_hot_p = 0.5;
   const auto bursty = generate_trace(spec, sim::Rng(11));
   ASSERT_GT(bursty.requests.size(), 50u);
+  EXPECT_EQ(bursty.requests.capacity(), bursty.requests.size());
   // Deterministic too.
   const auto again = generate_trace(spec, sim::Rng(11));
   EXPECT_EQ(starts_of(bursty), starts_of(again));
