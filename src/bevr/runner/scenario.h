@@ -111,7 +111,12 @@ struct Net2Spec {
 [[nodiscard]] std::string to_string(UtilityFamily family);
 [[nodiscard]] std::string to_string(ModelKind kind);
 
-/// An inclusive 1-D evaluation grid.
+/// An inclusive 1-D evaluation grid: the one grid generator the
+/// registry, the runner and the bench suites share. Linear points are
+/// lo + (hi − lo)·i/(n − 1), multiplied before dividing so a grid with
+/// an integral step hits it exactly ({10, 400, 40} is 10, 20, …, 400);
+/// log points are lo·(hi/lo)^(i/(n − 1)). A single point is {lo}, and
+/// n ≤ 0 gives an empty grid.
 struct GridSpec {
   double lo = 10.0;
   double hi = 400.0;

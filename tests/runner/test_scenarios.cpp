@@ -1,9 +1,10 @@
-// ScenarioSpec validation, factories, grids, and the built-in
-// paper-figure registry.
+// ScenarioSpec validation, factories, the one grid generator
+// (GridSpec), and the built-in paper-figure registry.
 #include "bevr/runner/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace bevr::runner {
@@ -33,6 +34,62 @@ TEST(GridSpec, SinglePointGridIsJustLo) {
   const auto values = grid.values();
   ASSERT_EQ(values.size(), 1u);
   EXPECT_DOUBLE_EQ(values[0], 50.0);
+}
+
+// The paper's capacity axis: every point must be the exact multiple of
+// 10, not one ulp off. The rigid utility's k_max(C) = ⌊C⌋ turns a
+// 59.99999999999999 into a different row than 60.
+TEST(GridSpec, PaperCapacityGridIsExact) {
+  const auto values = GridSpec{10.0, 400.0, 40, false}.values();
+  ASSERT_EQ(values.size(), 40u);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], 10.0 * static_cast<double>(i + 1)) << "i=" << i;
+  }
+}
+
+TEST(LinearGrid, CoversEndpointsEvenly) {
+  const auto grid = GridSpec{0.0, 10.0, 5, false}.values();
+  ASSERT_EQ(grid.size(), 5u);
+  EXPECT_EQ(grid.front(), 0.0);
+  EXPECT_EQ(grid[2], 5.0);
+  EXPECT_EQ(grid.back(), 10.0);
+}
+
+TEST(LogGrid, CoversEndpointsGeometrically) {
+  const auto grid = GridSpec{1.0, 16.0, 5, true}.values();
+  ASSERT_EQ(grid.size(), 5u);
+  EXPECT_NEAR(grid.front(), 1.0, 1e-12);
+  EXPECT_NEAR(grid[1], 2.0, 1e-12);
+  EXPECT_NEAR(grid.back(), 16.0, 1e-12);
+}
+
+// A single point used to divide by (points - 1) and emit NaN.
+TEST(LinearGrid, SinglePointIsLowerBoundNotNaN) {
+  const auto grid = GridSpec{3.5, 10.0, 1, false}.values();
+  ASSERT_EQ(grid.size(), 1u);
+  EXPECT_EQ(grid[0], 3.5);
+}
+
+TEST(LogGrid, SinglePointIsLowerBoundNotNaN) {
+  const auto grid = GridSpec{2.0, 2048.0, 1, true}.values();
+  ASSERT_EQ(grid.size(), 1u);
+  EXPECT_EQ(grid[0], 2.0);
+}
+
+TEST(Grids, NonPositivePointCountsAreEmpty) {
+  for (const bool log_spaced : {false, true}) {
+    EXPECT_TRUE((GridSpec{1.0, 2.0, 0, log_spaced}.values().empty()));
+    EXPECT_TRUE((GridSpec{1.0, 2.0, -3, log_spaced}.values().empty()));
+  }
+}
+
+TEST(Grids, EveryValueIsFinite) {
+  for (const double v : GridSpec{-4.0, 4.0, 9, false}.values()) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  for (const double v : GridSpec{1e-8, 1e8, 33, true}.values()) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(ScenarioSpec, ValidateRejectsBadGrids) {
