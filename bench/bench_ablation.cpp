@@ -11,6 +11,7 @@
 //     architecture gap depends on how adaptive applications really are
 //     (the caveat the paper closes with).
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 

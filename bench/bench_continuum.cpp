@@ -11,6 +11,7 @@
 #include "bevr/bench/registry.h"
 #include "bevr/core/asymptotics.h"
 #include "bevr/core/continuum.h"
+#include "bevr/runner/scenario.h"
 
 BEVR_BENCHMARK(continuum, "closed-form continuum cases + asymptotic laws") {
   using namespace bevr;
@@ -28,7 +29,8 @@ BEVR_BENCHMARK(continuum, "closed-form continuum cases + asymptotic laws") {
     const ExponentialAdaptiveContinuum adaptive(beta, a);
     bench::print_columns({"C", "B_rig", "R_rig", "Delta_rig", "ln(1+bC)/b",
                           "B_ad", "Delta_ad"});
-    for (const double c : bench::log_grid(25.0, 25'600.0, points)) {
+    for (const double c :
+         runner::GridSpec{25.0, 25'600.0, points, true}.values()) {
       bench::print_row({c, rigid.best_effort(c), rigid.reservation(c),
                         rigid.bandwidth_gap(c),
                         asymptotics::exponential_rigid_gap(beta, c),
@@ -44,7 +46,8 @@ BEVR_BENCHMARK(continuum, "closed-form continuum cases + asymptotic laws") {
     const AlgebraicAdaptiveContinuum adaptive(z, a);
     bench::print_columns({"C", "B_rig", "R_rig", "Delta_rig", "Delta_rig/C",
                           "Delta_ad", "Delta_ad/C"});
-    for (const double c : bench::log_grid(2.0, 2048.0, points)) {
+    for (const double c :
+         runner::GridSpec{2.0, 2048.0, points, true}.values()) {
       bench::print_row({c, rigid.best_effort(c), rigid.reservation(c),
                         rigid.bandwidth_gap(c), rigid.bandwidth_gap(c) / c,
                         adaptive.bandwidth_gap(c),
@@ -64,7 +67,8 @@ BEVR_BENCHMARK(continuum, "closed-form continuum cases + asymptotic laws") {
     const AlgebraicAdaptiveContinuum alg_adaptive(z, a);
     bench::print_columns({"p", "g_exp_rig", "g_exp_ad", "g_alg_rig",
                           "g_alg_ad"});
-    for (const double p : bench::log_grid(1e-8, 0.3, price_points)) {
+    for (const double p :
+         runner::GridSpec{1e-8, 0.3, price_points, true}.values()) {
       bench::print_row({p, exp_rigid.equalizing_price_ratio(p),
                         exp_adaptive.equalizing_price_ratio(p),
                         alg_rigid.equalizing_price_ratio(p),
@@ -82,7 +86,8 @@ BEVR_BENCHMARK(continuum, "closed-form continuum cases + asymptotic laws") {
     const AlgebraicTailUtilityContinuum fast(4.0, 3.0);
     const AlgebraicTailUtilityContinuum mid(4.0, 1.5);
     const AlgebraicTailUtilityContinuum slow(4.0, 0.5);
-    for (const double c : bench::log_grid(10.0, 10'240.0, price_points)) {
+    for (const double c :
+         runner::GridSpec{10.0, 10'240.0, price_points, true}.values()) {
       bench::print_row({c, fast.bandwidth_gap(c), mid.bandwidth_gap(c),
                         slow.bandwidth_gap(c)});
       evaluations += 3;

@@ -15,6 +15,7 @@
 #include "bevr/dist/exponential.h"
 #include "bevr/dist/mixture_load.h"
 #include "bevr/dist/poisson.h"
+#include "bevr/runner/scenario.h"
 #include "bevr/utility/mixture.h"
 #include "bevr/utility/utility.h"
 
@@ -38,7 +39,8 @@ BEVR_BENCHMARK(extensions, "Sec 5 heterogeneity/risk/nonstationary panels") {
     const core::VariableLoadModel pure_rigid(exponential, rigid);
     const core::VariableLoadModel pure_adaptive(exponential, adaptive);
     bench::print_columns({"C", "delta_rigid", "delta_mixed", "delta_adapt"});
-    for (const double c : bench::linear_grid(50.0, 400.0, ctx.pick(8, 3))) {
+    for (const double c :
+         runner::GridSpec{50.0, 400.0, ctx.pick(8, 3), false}.values()) {
       bench::print_row({c, pure_rigid.performance_gap(c),
                         mixed.performance_gap(c),
                         pure_adaptive.performance_gap(c)});
@@ -54,7 +56,8 @@ BEVR_BENCHMARK(extensions, "Sec 5 heterogeneity/risk/nonstationary panels") {
             {rigid, 3.0, 1.0}, {rigid, 1.0, 3.0}});
     const core::VariableLoadModel model(algebraic, sized);
     bench::print_columns({"C", "Delta(C)", "Delta/C"});
-    for (const double c : bench::log_grid(200.0, 3200.0, ctx.pick(5, 2))) {
+    for (const double c :
+         runner::GridSpec{200.0, 3200.0, ctx.pick(5, 2), true}.values()) {
       const double gap = model.bandwidth_gap(c);
       bench::print_row({c, gap, gap / c});
       evaluations += 1;
@@ -91,7 +94,8 @@ BEVR_BENCHMARK(extensions, "Sec 5 heterogeneity/risk/nonstationary panels") {
     const core::RiskAverseModel unconditional(
         algebraic, rigid, 0.5, core::BlockingRisk::kUnconditional);
     bench::print_columns({"C", "ratio_cond", "ratio_uncond"});
-    for (const double c : bench::log_grid(400.0, 6400.0, ctx.pick(5, 2))) {
+    for (const double c :
+         runner::GridSpec{400.0, 6400.0, ctx.pick(5, 2), true}.values()) {
       bench::print_row({c, (c + conditional.bandwidth_gap(c)) / c,
                         (c + unconditional.bandwidth_gap(c)) / c});
       evaluations += 2;
@@ -111,7 +115,8 @@ BEVR_BENCHMARK(extensions, "Sec 5 heterogeneity/risk/nonstationary panels") {
     const core::VariableLoadModel stationary(
         std::make_shared<dist::PoissonLoad>(100.0), rigid);
     bench::print_columns({"C", "delta_mixture", "delta_Poisson100"});
-    for (const double c : bench::linear_grid(60.0, 220.0, ctx.pick(9, 3))) {
+    for (const double c :
+         runner::GridSpec{60.0, 220.0, ctx.pick(9, 3), false}.values()) {
       bench::print_row({c, mixed.performance_gap(c),
                         stationary.performance_gap(c)});
       evaluations += 2;
@@ -129,7 +134,8 @@ BEVR_BENCHMARK(extensions, "Sec 5 heterogeneity/risk/nonstationary panels") {
             {algebraic, 1.0}});
     const core::VariableLoadModel model(mix, rigid);
     bench::print_columns({"C", "Delta(C)", "Delta/C"});
-    for (const double c : bench::log_grid(400.0, 3200.0, ctx.pick(4, 2))) {
+    for (const double c :
+         runner::GridSpec{400.0, 3200.0, ctx.pick(4, 2), true}.values()) {
       const double gap = model.bandwidth_gap(c);
       bench::print_row({c, gap, gap / c});
       evaluations += 1;

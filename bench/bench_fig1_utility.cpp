@@ -4,11 +4,13 @@
 // Prints the adaptive utility curve together with the other utility
 // families for visual comparison, plus the small-/large-b asymptotes
 // the paper calls out (π ≈ b²/κ near 0, π ≈ 1 − e^{−b} for large b).
+#include <cmath>
 #include <cstdint>
 
 #include "bevr/bench/bench_util.h"
 #include "bevr/bench/registry.h"
 #include "bevr/core/fixed_load.h"
+#include "bevr/runner/scenario.h"
 #include "bevr/utility/utility.h"
 
 BEVR_BENCHMARK(fig1_utility, "Figure 1: utility families + Sec 2 V(k)") {
@@ -22,7 +24,7 @@ BEVR_BENCHMARK(fig1_utility, "Figure 1: utility families + Sec 2 V(k)") {
   bench::print_columns({"b", "adaptive", "small_b_asym", "large_b_asym",
                         "rigid", "elastic", "pwl(a=.5)"});
   const std::vector<double> grid =
-      bench::linear_grid(0.0, 4.0, ctx.pick(33, 5));
+      runner::GridSpec{0.0, 4.0, ctx.pick(33, 5), false}.values();
   for (const double b : grid) {
     const double kappa = utility::AdaptiveExp::kPaperKappa;
     bench::print_row({b, adaptive.value(b), b * b / kappa,

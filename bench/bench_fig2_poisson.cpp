@@ -5,18 +5,12 @@
 // peaks ~80; both vanish faster than exponentially for C > k̄; the
 // adaptive panels show near-coincident B and R; gamma(p) sits in
 // [1.1, 1.2] for rigid over most prices and ~1 for adaptive.
-#include "figure_panels.h"
+#include "registry_runs.h"
 
 #include "bevr/bench/registry.h"
-#include "bevr/dist/poisson.h"
 
 BEVR_BENCHMARK(fig2_poisson, "Figure 2 panels: Poisson load, kbar=100") {
-  using namespace bevr;
-  bench::FigureConfig config;
-  config.figure_name = "Figure 2 [Poisson, kbar=100]";
-  config.load = std::make_shared<dist::PoissonLoad>(100.0);
-  config.capacities = bench::linear_grid(10.0, 400.0, ctx.pick(40, 8));
-  config.prices = bench::log_grid(1e-3, 0.4, ctx.pick(9, 3));
-  ctx.set_items(bench::figure_items(config));
-  bench::run_figure(config);
+  ctx.set_items(bevr::bench::run_figure("Figure 2 [Poisson, kbar=100]",
+                                        "fig2", ctx.pick(40, 8),
+                                        ctx.pick(9, 3)));
 }

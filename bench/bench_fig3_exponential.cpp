@@ -4,20 +4,13 @@
 // monotonically increasing (logarithmic) Delta(C); adaptive gaps are
 // ~10x smaller with Delta peaking ≈ 9 near C ≈ 0.4·k̄ then declining;
 // gamma(p) → 1 as p → 0 for both.
-#include "figure_panels.h"
+#include "registry_runs.h"
 
 #include "bevr/bench/registry.h"
-#include "bevr/dist/exponential.h"
 
 BEVR_BENCHMARK(fig3_exponential,
                "Figure 3 panels: exponential load, kbar=100") {
-  using namespace bevr;
-  bench::FigureConfig config;
-  config.figure_name = "Figure 3 [Exponential, kbar=100]";
-  config.load = std::make_shared<dist::ExponentialLoad>(
-      dist::ExponentialLoad::with_mean(100.0));
-  config.capacities = bench::linear_grid(10.0, 800.0, ctx.pick(40, 8));
-  config.prices = bench::log_grid(1e-3, 0.4, ctx.pick(9, 3));
-  ctx.set_items(bench::figure_items(config));
-  bench::run_figure(config);
+  ctx.set_items(bevr::bench::run_figure("Figure 3 [Exponential, kbar=100]",
+                                        "fig3", ctx.pick(40, 8),
+                                        ctx.pick(9, 3)));
 }

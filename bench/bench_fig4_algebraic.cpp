@@ -4,22 +4,15 @@
 // (~.20 at 2k̄) and Delta(C) grows LINEARLY with slope ≈ 1; adaptive
 // Delta still grows linearly but with slope reduced by a factor > 20;
 // gamma(p) does NOT converge to 1 as p → 0 (→ ≈ 2 for rigid, the
-// continuum value (z−1)^{1/(z−2)}).
-#include "figure_panels.h"
+// continuum value (z−1)^{1/(z−2)}). The welfare scenarios run at the
+// cheaper evaluation budget heavy tails demand (see the registry).
+#include "registry_runs.h"
 
 #include "bevr/bench/registry.h"
-#include "bevr/dist/algebraic.h"
 
 BEVR_BENCHMARK(fig4_algebraic,
                "Figure 4 panels: algebraic load z=3, kbar=100") {
-  using namespace bevr;
-  bench::FigureConfig config;
-  config.figure_name = "Figure 4 [Algebraic z=3, kbar=100]";
-  config.load = std::make_shared<dist::AlgebraicLoad>(
-      dist::AlgebraicLoad::with_mean(3.0, 100.0));
-  config.capacities = bench::linear_grid(10.0, 800.0, ctx.pick(40, 8));
-  config.prices = bench::log_grid(3e-3, 0.4, ctx.pick(7, 3));
-  config.fast_welfare = true;
-  ctx.set_items(bench::figure_items(config));
-  bench::run_figure(config);
+  ctx.set_items(bevr::bench::run_figure(
+      "Figure 4 [Algebraic z=3, kbar=100]", "fig4", ctx.pick(40, 8),
+      ctx.pick(7, 3)));
 }

@@ -134,7 +134,8 @@ BEVR_BENCHMARK(kernels_point_sweep,
                "scalar model vs sweep kernels on the figure grids") {
   const int points = ctx.pick(160, 12);
   const int reps = ctx.pick(3, 1);
-  const std::vector<double> grid = bench::linear_grid(10.0, 800.0, points);
+  const std::vector<double> grid =
+      runner::GridSpec{10.0, 800.0, points, false}.values();
   bench::print_columns({"scalar_s", "kernel_s", "speedup"});
   std::uint64_t evals = 0;
   for (const auto& figure : figure_cases()) {

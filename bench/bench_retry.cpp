@@ -15,6 +15,7 @@
 #include "bevr/core/welfare.h"
 #include "bevr/dist/algebraic.h"
 #include "bevr/dist/exponential.h"
+#include "bevr/runner/scenario.h"
 #include "bevr/utility/utility.h"
 
 BEVR_BENCHMARK(retry, "Sec 5.2 retry extension panels") {
@@ -40,7 +41,8 @@ BEVR_BENCHMARK(retry, "Sec 5.2 retry extension panels") {
     const core::RetryModel model(exponential_family, 100.0, rigid, alpha);
     bench::print_columns(
         {"C", "inflated_L", "retries_D", "blocking", "R_tilde", "B"});
-    for (const double c : bench::linear_grid(120.0, 600.0, ctx.pick(9, 3))) {
+    for (const double c :
+         runner::GridSpec{120.0, 600.0, ctx.pick(9, 3), false}.values()) {
       const auto s = model.solve(c);
       bench::print_row({c, s.inflated_mean, s.retries, s.blocking, s.utility,
                         model.best_effort(c)});
@@ -55,7 +57,8 @@ BEVR_BENCHMARK(retry, "Sec 5.2 retry extension panels") {
                                         alpha);
     const core::VariableLoadModel without(algebraic_family(100.0), adaptive);
     bench::print_columns({"C", "delta_retry", "delta_basic", "ratio"});
-    for (const double c : bench::linear_grid(150.0, 800.0, ctx.pick(7, 3))) {
+    for (const double c :
+         runner::GridSpec{150.0, 800.0, ctx.pick(7, 3), false}.values()) {
       const double with_gap = with_retries.performance_gap(c);
       const double base_gap = without.performance_gap(c);
       bench::print_row({c, with_gap, base_gap, with_gap / base_gap});
@@ -75,7 +78,8 @@ BEVR_BENCHMARK(retry, "Sec 5.2 retry extension panels") {
         [retry_model](double c) { return retry_model->total_reservation(c); },
         100.0);
     bench::print_columns({"p", "gamma_retry(p)"});
-    for (const double p : bench::log_grid(3e-3, 0.3, ctx.pick(6, 2))) {
+    for (const double p :
+         runner::GridSpec{3e-3, 0.3, ctx.pick(6, 2), true}.values()) {
       bench::print_row({p, analysis.price_ratio(p)});
       evaluations += 1;
     }
@@ -103,7 +107,8 @@ BEVR_BENCHMARK(retry, "Sec 5.2 retry extension panels") {
     const double limit =
         core::asymptotics::exponential_adaptive_retry_gap_limit(0.00995033,
                                                                 0.5, alpha);
-    for (const double c : bench::linear_grid(200.0, 800.0, ctx.pick(4, 2))) {
+    for (const double c :
+         runner::GridSpec{200.0, 800.0, ctx.pick(4, 2), false}.values()) {
       bench::print_row({c, model.bandwidth_gap(c), limit});
       evaluations += 1;
     }

@@ -1,7 +1,7 @@
 // bench_runner: the experiment engine vs the hand-rolled serial loop.
 //
-// Measures, on one Figure-3-style grid (exponential load, rigid apps,
-// B/R/δ/Δ per capacity):
+// Measures, on the registry's fig3_rigid scenario with its grid cut
+// short (exponential load, rigid apps, B/R/δ/Δ per capacity):
 //  * serial baseline — the plain loop sweep.cpp used to run, no pool,
 //    no cache;
 //  * the runner at 1/2/4 threads with memoized evaluation, reporting
@@ -16,12 +16,11 @@
 #include <thread>
 #include <vector>
 
-#include "bevr/bench/bench_util.h"
+#include "registry_runs.h"
+
 #include "bevr/bench/registry.h"
 #include "bevr/core/variable_load.h"
-#include "bevr/dist/exponential.h"
 #include "bevr/runner/runner.h"
-#include "bevr/utility/utility.h"
 
 namespace {
 
@@ -32,24 +31,18 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The registry's fig3_rigid with its grid cut to `grid_points`.
 runner::ScenarioSpec bench_scenario(int grid_points) {
-  runner::ScenarioSpec spec;
-  spec.name = "bench_fig3_rigid_grid";
-  spec.model = runner::ModelKind::kVariableLoad;
-  spec.load = runner::LoadFamily::kExponential;
-  spec.util = runner::UtilityFamily::kRigid;
-  spec.util_param = 1.0;
-  spec.grid = runner::GridSpec{10.0, 800.0, grid_points, false};
+  runner::ScenarioSpec spec = bench::registry_spec("fig3_rigid");
+  spec.grid.points = grid_points;
   return spec;
 }
 
 /// The pre-runner serial path: a bare loop over the grid calling the
 /// model directly (what examples/sweep.cpp did).
 double serial_baseline(const runner::ScenarioSpec& spec) {
-  const auto model = core::VariableLoadModel(
-      std::make_shared<dist::ExponentialLoad>(
-          dist::ExponentialLoad::with_mean(spec.load_mean)),
-      std::make_shared<utility::Rigid>(spec.util_param));
+  const core::VariableLoadModel model(runner::make_load(spec),
+                                      runner::make_utility(spec), spec.eval);
   const auto start = Clock::now();
   double checksum = 0.0;
   for (const double c : spec.grid.values()) {

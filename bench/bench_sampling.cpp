@@ -14,6 +14,7 @@
 #include "bevr/dist/algebraic.h"
 #include "bevr/dist/exponential.h"
 #include "bevr/dist/poisson.h"
+#include "bevr/runner/scenario.h"
 #include "bevr/utility/utility.h"
 
 BEVR_BENCHMARK(sampling, "Sec 5.1 sampling extension panels") {
@@ -35,7 +36,8 @@ BEVR_BENCHMARK(sampling, "Sec 5.1 sampling extension panels") {
     const core::SamplingModel s5(exponential, adaptive, 5);
     const core::SamplingModel s10(exponential, adaptive, 10);
     bench::print_columns({"C", "S=1", "S=2", "S=5", "S=10"});
-    for (const double c : bench::linear_grid(25.0, 500.0, ctx.pick(20, 5))) {
+    for (const double c :
+         runner::GridSpec{25.0, 500.0, ctx.pick(20, 5), false}.values()) {
       bench::print_row({c, s1.performance_gap(c), s2.performance_gap(c),
                         s5.performance_gap(c), s10.performance_gap(c)});
       evaluations += 4;
@@ -49,7 +51,8 @@ BEVR_BENCHMARK(sampling, "Sec 5.1 sampling extension panels") {
     const core::SamplingModel s10(exponential, adaptive, 10);
     const core::SamplingModel s1(exponential, adaptive, 1);
     bench::print_columns({"C", "Delta_S1", "Delta_S10"});
-    for (const double c : bench::linear_grid(50.0, 600.0, ctx.pick(12, 3))) {
+    for (const double c :
+         runner::GridSpec{50.0, 600.0, ctx.pick(12, 3), false}.values()) {
       bench::print_row({c, s1.bandwidth_gap(c), s10.bandwidth_gap(c)});
       evaluations += 2;
     }
@@ -61,7 +64,8 @@ BEVR_BENCHMARK(sampling, "Sec 5.1 sampling extension panels") {
     const core::SamplingModel s1(poisson, adaptive, 1);
     const core::SamplingModel s10(poisson, adaptive, 10);
     bench::print_columns({"C", "delta_S1", "delta_S10"});
-    for (const double c : bench::linear_grid(50.0, 300.0, ctx.pick(6, 3))) {
+    for (const double c :
+         runner::GridSpec{50.0, 300.0, ctx.pick(6, 3), false}.values()) {
       bench::print_row({c, s1.performance_gap(c), s10.performance_gap(c)});
       evaluations += 2;
     }
@@ -74,7 +78,8 @@ BEVR_BENCHMARK(sampling, "Sec 5.1 sampling extension panels") {
     bench::print_columns({"C", "ratio_S1", "ratio_S2", "asym_S1", "asym_S2"});
     const double asym1 = core::asymptotics::capacity_ratio_rigid_sampling(3.0, 1);
     const double asym2 = core::asymptotics::capacity_ratio_rigid_sampling(3.0, 2);
-    for (const double c : bench::log_grid(200.0, 3200.0, ctx.pick(5, 2))) {
+    for (const double c :
+         runner::GridSpec{200.0, 3200.0, ctx.pick(5, 2), true}.values()) {
       bench::print_row({c, (c + s1.bandwidth_gap(c)) / c,
                         (c + s2.bandwidth_gap(c)) / c, asym1, asym2});
       evaluations += 2;

@@ -1,4 +1,5 @@
-// Shared output + grid helpers for the benchmark suites.
+// Shared table-printing helpers for the benchmark suites. Grids come
+// from runner::GridSpec, the one grid generator.
 //
 // Every bench prints aligned, self-describing tables so the series can
 // be compared row-by-row against the paper's figures (shape targets:
@@ -7,7 +8,6 @@
 // numbers that persist run-to-run live in the BENCH_*.json artifacts.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,32 +32,6 @@ inline void print_row(const std::vector<double>& values) {
 
 inline void print_note(const std::string& note) {
   std::printf("  note: %s\n", note.c_str());
-}
-
-/// Log-spaced grid from lo to hi inclusive. A single point degenerates
-/// to {lo} (not NaN from 0/0); nonpositive counts give an empty grid.
-inline std::vector<double> log_grid(double lo, double hi, int points) {
-  if (points <= 0) return {};
-  if (points == 1) return {lo};
-  std::vector<double> grid;
-  grid.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double t = static_cast<double>(i) / (points - 1);
-    grid.push_back(lo * std::pow(hi / lo, t));
-  }
-  return grid;
-}
-
-/// Linear grid from lo to hi inclusive; degenerate counts as log_grid.
-inline std::vector<double> linear_grid(double lo, double hi, int points) {
-  if (points <= 0) return {};
-  if (points == 1) return {lo};
-  std::vector<double> grid;
-  grid.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    grid.push_back(lo + (hi - lo) * static_cast<double>(i) / (points - 1));
-  }
-  return grid;
 }
 
 }  // namespace bevr::bench
