@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bevr/obs/json_text.h"
 #include "bevr/obs/metrics.h"
 #include "bevr/obs/report.h"
 #include "bevr/runner/runner.h"
@@ -16,6 +17,8 @@
 #endif
 
 namespace bevr::bench {
+
+using obs::json_escape;
 
 namespace {
 
@@ -31,30 +34,6 @@ std::string format_double(double value) {
     if (parsed == value) break;
   }
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      case '\r': escaped += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
 }
 
 }  // namespace

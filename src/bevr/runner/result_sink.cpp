@@ -3,30 +3,13 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bevr/obs/json_text.h"
 #include "bevr/obs/metrics.h"
 #include "bevr/obs/report.h"
 
 namespace bevr::runner {
 
-namespace {
-
-// Minimal JSON string escaping (names and git describes are ASCII).
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      default: escaped += c;
-    }
-  }
-  return escaped;
-}
-
-}  // namespace
+using obs::json_escape;
 
 std::string format_value(double value) {
   if (std::isnan(value)) return "nan";

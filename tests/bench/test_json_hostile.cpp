@@ -2,12 +2,14 @@
 // path takes bytes from disk, so the parser must be total — every
 // malformed input is a clean std::runtime_error (with a byte offset),
 // never a crash, hang, or half-parsed value.
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "bevr/bench/json.h"
+#include "bevr/runner/result_sink.h"
 
 namespace bevr::bench::json {
 namespace {
@@ -100,6 +102,39 @@ TEST(JsonHostile, MalformedNumbersAndGarbage) {
   expect_clean_error("{\"a\" 1}", "missing colon");
   expect_clean_error("[1 2]", "missing comma");
   expect_clean_error("nulll", "literal with trailing junk");
+}
+
+// The runner's JSONL sink writes names through the same escaper as the
+// obs exporters, so control bytes in a scenario or column name (which
+// used to pass through raw) still give lines this reader accepts, and
+// the names read back byte for byte.
+TEST(JsonHostile, RunnerJsonlLinesWithControlBytesInNamesParse) {
+  const std::string scenario = "fig\x01rigid\r";
+  const std::string column = "cap\racity\x1f";
+  std::ostringstream out;
+  runner::JsonlSink sink(out);
+  runner::RunMetadata metadata;
+  metadata.scenario = scenario;
+  metadata.model = "variable_load";
+  sink.begin(metadata, {column});
+  sink.row(runner::ResultRow{0, {60.0}});
+  sink.finish(runner::RunSummary{});
+
+  std::istringstream lines(out.str());
+  std::string line;
+  int records = 0;
+  while (std::getline(lines, line)) {
+    SCOPED_TRACE(line);
+    ValuePtr record;
+    ASSERT_NO_THROW(record = parse(line));
+    EXPECT_EQ(record->get("scenario")->string, scenario);
+    if (record->get("type")->string == "row") {
+      ASSERT_NE(record->get(column), nullptr);
+      EXPECT_EQ(record->get(column)->number, 60.0);
+    }
+    ++records;
+  }
+  EXPECT_EQ(records, 3);  // meta, row, summary
 }
 
 }  // namespace
