@@ -44,27 +44,16 @@ struct Runner {
     return req.submit >= config.warmup;
   }
 
-  /// Calendar occupancy (committed/capacity at sim-now) when there is
-  /// a calendar; the count of flows in service is the best stand-in
-  /// otherwise. Purely observational.
-  [[nodiscard]] double occupancy() const {
-    if (calendar != nullptr) {
-      return calendar->capacity() > 0.0
-                 ? calendar->committed_at(queue.now()) / calendar->capacity()
-                 : 0.0;
-    }
-    return static_cast<double>(active);
-  }
-
   /// One per-flow decision event, mirrored to the flight recorder
   /// (always on) and the trace collector (when enabled), each carrying
-  /// the occupancy the decision saw. The calendar retires expired
-  /// reservations in batched sweeps, so expirations surface here as a
-  /// delta against the last decision's watermark.
+  /// the count of flows in service the decision saw, in every policy
+  /// family. The calendar retires expired reservations in batched
+  /// sweeps, so expirations surface here as a delta against the last
+  /// decision's watermark.
   void record_decision(const char* name, obs::FlightCode code,
                        const obs::TraceContext& trace,
                        std::uint64_t flow_index) {
-    const double seen = occupancy();
+    const auto seen = static_cast<double>(active);
     obs::FlightRecorder::global().record(code, trace.trace_id, nullptr, seen,
                                          static_cast<double>(flow_index));
     if (calendar != nullptr) {

@@ -104,10 +104,10 @@ struct FlowNames {
 
 /// What a family shows the engine besides the four policy calls.
 struct FlowProbes {
-  /// The calendar the policy books, if any: each decision records its
-  /// occupancy (otherwise the count of flows in service) and the
+  /// The calendar the policy books, if any: each decision records the
   /// expiry sweeps since the last decision, and the report carries its
-  /// lifetime totals.
+  /// lifetime totals. (A decision's own record carries the count of
+  /// flows in service, calendar or not.)
   const CapacityCalendar* calendar = nullptr;
   /// The invariant audit EngineConfig::audit runs.
   std::function<void()> audit;

@@ -54,7 +54,8 @@ enum class FlightCode : std::uint32_t {
   kExpire,            ///< request expired before evaluation; a = waited_us
   kOverloaded,        ///< request shed: queue full; a = queue depth
   kStorm,             ///< overload storm detected; a = consecutive count
-  // Admission decisions (a = utilisation at decision, b = flow index).
+  // Flow decisions, every policy family (a = flows in service at
+  // decision, b = flow index).
   kAdmit,
   kBlock,
   kCounteroffer,
@@ -63,7 +64,7 @@ enum class FlightCode : std::uint32_t {
   // Failure hooks.
   kContractFail,      ///< a benchmark/test contract failed
   // Routing decisions, appended so earlier codes keep their values
-  // (a = live calls at decision, b = call index).
+  // (a = flows in service at decision, b = flow index).
   kRouteAlternate,    ///< call admitted on an alternate (overflow) path
 };
 

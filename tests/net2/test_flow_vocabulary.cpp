@@ -1,6 +1,7 @@
 // The observable vocabulary of both flow-policy families, pinned: the
 // decision-event names the trace collector records, the flight codes
-// the flight recorder records, and the admission/* and net2/* counters
+// the flight recorder records (each decision's carrying the flows in
+// service it saw), and the admission/* and net2/* counters
 // (plus the net2 peak-link gauge) a run flushes. Traced runs and the
 // benchmark's traced flows pass count events by these names, so a
 // rename or a lost event is a behaviour change.
@@ -166,6 +167,59 @@ TEST(FlowVocabulary, DecisionEventsFlightCodesAndCountersArePinned) {
                                       {"net2/offered", 15}}));
   EXPECT_EQ(network.after.gauge("net2/peak_link_count"), 1.0);
   EXPECT_EQ(net_report.offered, calls.requests.size());
+}
+
+/// The flight-recorder `a` of every ADMIT record `run` leaves for the
+/// first `flows` flows of `trace_seed`, keyed by flow index (`b`).
+template <typename Run>
+std::map<std::uint64_t, double> admit_payloads(std::uint64_t trace_seed,
+                                               std::size_t flows, Run&& run) {
+  obs::FlightRecorder& flight = obs::FlightRecorder::global();
+  flight.clear();
+  run();
+  std::set<std::uint64_t> ids;
+  for (std::size_t i = 0; i < flows; ++i) {
+    ids.insert(obs::TraceContext::derive(trace_seed, i).trace_id);
+  }
+  std::map<std::uint64_t, double> payloads;
+  for (const obs::FlightRecord& record : flight.records()) {
+    if (record.code == obs::FlightCode::kAdmit &&
+        ids.count(record.trace_id) != 0) {
+      payloads[static_cast<std::uint64_t>(record.b)] = record.a;
+    }
+  }
+  return payloads;
+}
+
+// A decision's `a` is the count of flows in service it saw, whatever
+// the family: advance booking used to record its calendar's
+// committed/capacity instead (0.25 0.5 0.75 1 here).
+TEST(FlowVocabulary, AdmitRecordsCarryFlowsInServiceInEveryPolicy) {
+  admission::PolicyConfig config;
+  config.capacity = 4.0;
+  config.pi = std::make_shared<utility::Rigid>(1.0);
+  admission::ArrivalTrace trace;
+  trace.horizon = 20.0;
+  for (int i = 0; i < 5; ++i) {
+    const double t = static_cast<double>(i);
+    trace.requests.push_back(flow(t, t, 10.0, 1.0));
+  }
+  admission::EngineConfig engine;
+  engine.trace_seed = 29;
+  const auto replay = [&](admission::PolicyKind kind) {
+    auto policy = admission::make_policy(kind, config);
+    return admit_payloads(29, trace.requests.size(), [&] {
+      (void)admission::run_admission(trace, *policy, *config.pi, engine);
+    });
+  };
+  const auto best_effort = replay(admission::PolicyKind::kBestEffort);
+  const auto advance = replay(admission::PolicyKind::kAdvanceBooking);
+  EXPECT_EQ(best_effort, (std::map<std::uint64_t, double>{
+                             {0, 0.0}, {1, 1.0}, {2, 2.0}, {3, 3.0},
+                             {4, 4.0}}));
+  // The calendar is full for the fifth flow, which it blocks.
+  EXPECT_EQ(advance, (std::map<std::uint64_t, double>{
+                         {0, 0.0}, {1, 1.0}, {2, 2.0}, {3, 3.0}}));
 }
 
 }  // namespace
