@@ -1,6 +1,5 @@
 #include "bevr/net/admission.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace bevr::net {
@@ -40,40 +39,6 @@ bool MeasurementBasedAdmission::admit(const LinkAdmissionState& link,
 
 std::string MeasurementBasedAdmission::name() const {
   return "MeasurementBased(eta=" + std::to_string(bound_) + ")";
-}
-
-LoadEstimator::LoadEstimator(double window, double decay)
-    : window_(window), decay_(decay) {
-  if (!(window > 0.0)) {
-    throw std::invalid_argument("LoadEstimator: window must be > 0");
-  }
-  if (!(decay >= 0.0) || decay >= 1.0) {
-    throw std::invalid_argument("LoadEstimator: decay must lie in [0, 1)");
-  }
-}
-
-void LoadEstimator::observe(double now, double value) {
-  if (!started_) {
-    started_ = true;
-    window_start_ = last_time_ = now;
-    last_value_ = value;
-    estimate_ = value;
-    return;
-  }
-  if (now < last_time_) {
-    throw std::invalid_argument("LoadEstimator: time went backwards");
-  }
-  window_integral_ += last_value_ * (now - last_time_);
-  last_time_ = now;
-  last_value_ = value;
-  // An admission estimator must react to spikes immediately.
-  estimate_ = std::max(estimate_, value);
-  while (now - window_start_ >= window_) {
-    const double window_avg = window_integral_ / window_;
-    estimate_ = std::max(window_avg, decay_ * estimate_ + (1.0 - decay_) * window_avg);
-    window_start_ += window_;
-    window_integral_ = 0.0;
-  }
 }
 
 }  // namespace bevr::net

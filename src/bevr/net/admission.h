@@ -20,7 +20,7 @@ namespace bevr::net {
 struct LinkAdmissionState {
   double capacity = 0.0;        ///< link capacity
   double reserved_sum = 0.0;    ///< Σ admitted reservation rates
-  double measured_load = 0.0;   ///< current load estimate (see below)
+  double measured_load = 0.0;   ///< current measured load
 };
 
 class AdmissionController {
@@ -50,7 +50,8 @@ class ParameterBasedAdmission final : public AdmissionController {
 };
 
 /// Measurement-based: measured load + R ≤ η·C. The caller maintains
-/// `measured_load` (see LoadEstimator).
+/// `measured_load` (NetworkExperiment sets each link's actual usage
+/// directly).
 class MeasurementBasedAdmission final : public AdmissionController {
  public:
   explicit MeasurementBasedAdmission(double utilization_bound = 0.9);
@@ -63,32 +64,6 @@ class MeasurementBasedAdmission final : public AdmissionController {
 
  private:
   double bound_;
-};
-
-/// Time-decaying exponential load estimator with measurement-window
-/// maxima, in the spirit of the Jamin et al. algorithm: the estimate
-/// is the max of per-window averages, aged toward the current average.
-class LoadEstimator {
- public:
-  /// `window`: measurement window length; `decay`: weight of the past
-  /// estimate when a new window completes (0 = memoryless).
-  LoadEstimator(double window, double decay);
-
-  /// Record instantaneous load `value` observed at `now`.
-  void observe(double now, double value);
-
-  /// Current estimate.
-  [[nodiscard]] double estimate() const { return estimate_; }
-
- private:
-  double window_;
-  double decay_;
-  double window_start_ = 0.0;
-  double window_integral_ = 0.0;
-  double last_time_ = 0.0;
-  double last_value_ = 0.0;
-  double estimate_ = 0.0;
-  bool started_ = false;
 };
 
 }  // namespace bevr::net

@@ -73,34 +73,5 @@ TEST(FlowSpec, Validation) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(LoadEstimator, TracksConstantLoad) {
-  LoadEstimator estimator(/*window=*/1.0, /*decay=*/0.5);
-  for (double t = 0.0; t <= 10.0; t += 0.1) estimator.observe(t, 50.0);
-  EXPECT_NEAR(estimator.estimate(), 50.0, 1.0);
-}
-
-TEST(LoadEstimator, ReactsToSpikesImmediately) {
-  LoadEstimator estimator(1.0, 0.5);
-  estimator.observe(0.0, 10.0);
-  estimator.observe(0.1, 90.0);
-  EXPECT_GE(estimator.estimate(), 90.0);
-}
-
-TEST(LoadEstimator, DecaysAfterLoadDrops) {
-  LoadEstimator estimator(1.0, 0.5);
-  for (double t = 0.0; t <= 5.0; t += 0.1) estimator.observe(t, 80.0);
-  for (double t = 5.1; t <= 30.0; t += 0.1) estimator.observe(t, 10.0);
-  EXPECT_LT(estimator.estimate(), 20.0);
-  EXPECT_GE(estimator.estimate(), 10.0 - 1e-9);
-}
-
-TEST(LoadEstimator, Validation) {
-  EXPECT_THROW(LoadEstimator(0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(LoadEstimator(1.0, 1.0), std::invalid_argument);
-  LoadEstimator estimator(1.0, 0.5);
-  estimator.observe(1.0, 5.0);
-  EXPECT_THROW(estimator.observe(0.5, 5.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace bevr::net
