@@ -5,7 +5,9 @@
 #
 #   address  ASan+UBSan (build-asan): runner, sim, admission (the flow
 #            engine both admission and net2 replay through), net2,
-#            kernels, core, numerics, dist, utility.
+#            kernels, core, numerics, dist, utility, bench (the JSON
+#            reader, artifact writer and compare gate) and the golden
+#            replay at 1 thread.
 #   thread   TSan (build-tsan): the suites with shared state — runner
 #            (pool, memo), obs (sharded registry, trace buffers),
 #            service (ticket queue, worker pool), admission (calendar
@@ -27,7 +29,10 @@ case "${LEG}" in
     FLAG=ON
     SUITES=(bevr_runner_tests bevr_sim_tests bevr_admission_tests
             bevr_net2_tests bevr_kernels_tests bevr_core_tests
-            bevr_numerics_tests bevr_dist_tests bevr_utility_tests)
+            bevr_numerics_tests bevr_dist_tests bevr_utility_tests
+            bevr_bench_tests bevr_golden_tests)
+    # The golden replay's serial arm; the 4-thread arm is TSan's.
+    GOLDEN_FILTER='*/1thread'
     ;;
   thread)
     BUILD=build-tsan
@@ -35,6 +40,9 @@ case "${LEG}" in
     SUITES=(bevr_runner_tests bevr_obs_tests bevr_service_tests
             bevr_admission_tests bevr_net2_tests bevr_kernels_tests
             bevr_golden_tests)
+    # The 4-thread replay is the concurrent one; the 1-thread arm adds
+    # nothing a race detector can see.
+    GOLDEN_FILTER='*/4thread'
     ;;
   *)
     echo "usage: $0 address|thread [jobs]" >&2
@@ -48,9 +56,7 @@ cmake --build "${BUILD}" -j "${JOBS}" --target "${SUITES[@]}"
 for suite in "${SUITES[@]}"; do
   echo "-- ${LEG}: ${suite}"
   if [ "${suite}" = bevr_golden_tests ]; then
-    # The 4-thread replay is the concurrent one; the 1-thread arm adds
-    # nothing a race detector can see.
-    "./${BUILD}/tests/${suite}" --gtest_filter='*/4thread'
+    "./${BUILD}/tests/${suite}" --gtest_filter="${GOLDEN_FILTER}"
   else
     "./${BUILD}/tests/${suite}"
   fi
