@@ -8,8 +8,8 @@
 
 #include "bevr/core/bandwidth_gap.h"
 #include "bevr/core/fixed_load.h"
+#include "bevr/core/series_tail.h"
 #include "bevr/numerics/kahan.h"
-#include "bevr/numerics/quadrature.h"
 
 namespace bevr::core {
 
@@ -68,20 +68,15 @@ double VariableLoadModel::flow_utility_between(double capacity,
     return sum.value();
   }
 
-  // Hybrid: direct summation over the head, midpoint (Euler–Maclaurin)
-  // integral of the smooth continuation over the far tail.
-  const std::int64_t k_direct = k_lo + options_.direct_budget - 1;
+  // Hybrid: direct summation over the head, the Euler–Maclaurin tail of
+  // series_tail.h over the rest.
+  const std::int64_t k_direct =
+      k_lo + hybrid_head_terms(*pi_, options_.direct_budget) - 1;
   for (std::int64_t k = k_lo; k <= k_direct; ++k) sum.add(term(k));
-  auto integrand = [this, capacity](double x) {
-    return load_->pmf_continuous(x) * x * pi_->value(capacity / x);
-  };
-  const double lo = static_cast<double>(k_direct) + 0.5;
-  const double hi = static_cast<double>(k_hi) + 0.5;
-  const auto tail = (k_hi >= k_exact)
-                        ? numerics::integrate_to_infinity(integrand, lo, 1e-14,
-                                                          1e-11)
-                        : numerics::integrate(integrand, lo, hi, 1e-14, 1e-11);
-  sum.add(tail.value);
+  const auto k_last =
+      (k_hi >= k_exact) ? std::nullopt : std::optional<std::int64_t>(k_hi);
+  sum.add(series_tail(*load_, *pi_, capacity, k_direct, k_last, sum.value())
+              .value);
   return sum.value();
 }
 

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "bevr/core/bandwidth_gap.h"
-#include "bevr/numerics/quadrature.h"
+#include "bevr/core/series_tail.h"
 
 namespace bevr::kernels {
 
@@ -99,12 +99,15 @@ SweepEvaluator::SweepEvaluator(
   mean_ = model_->mean_load();
   b0_ = pi_->zero_below();
   direct_budget_ = model_->options().direct_budget;
+  head_terms_ = core::hybrid_head_terms(*pi_, direct_budget_);
   indicator_threshold_ = detect_indicator(*pi_);
   batch_key_ = make_batch_key(*model_, *load_, *pi_);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   batch_terms_ = registry.counter("kernels/batch_terms");
   batch_calls_ = registry.counter("kernels/batch_calls");
   prefix_hits_ = registry.counter("kernels/prefix_hits");
+  tail_calls_ = registry.counter("kernels/tail_calls");
+  tail_evaluations_ = registry.counter("kernels/tail_evaluations");
 }
 
 numerics::KahanSum SweepEvaluator::direct_sum_state(double capacity,
@@ -191,19 +194,16 @@ double SweepEvaluator::flow_utility_between(double capacity,
     return direct_sum_state(capacity, k_lo, k_hi).value();
   }
 
-  // Hybrid: table-backed head, then the identical integral tail the
-  // scalar path computes, resumed into the same accumulator state.
-  const std::int64_t k_direct = k_lo + direct_budget_ - 1;
+  // Hybrid: table-backed head, then the scalar path's own tail helper,
+  // resumed into the same accumulator state.
+  const std::int64_t k_direct = k_lo + head_terms_ - 1;
   numerics::KahanSum sum = direct_sum_state(capacity, k_lo, k_direct);
-  auto integrand = [this, capacity](double x) {
-    return load_->pmf_continuous(x) * x * pi_->value(capacity / x);
-  };
-  const double lo = static_cast<double>(k_direct) + 0.5;
-  const double hi = static_cast<double>(k_hi) + 0.5;
-  const auto tail = (k_hi >= k_exact)
-                        ? numerics::integrate_to_infinity(integrand, lo, 1e-14,
-                                                          1e-11)
-                        : numerics::integrate(integrand, lo, hi, 1e-14, 1e-11);
+  const auto k_last =
+      (k_hi >= k_exact) ? std::nullopt : std::optional<std::int64_t>(k_hi);
+  const auto tail = core::series_tail(*load_, *pi_, capacity, k_direct,
+                                      k_last, sum.value());
+  tail_calls_.inc();
+  tail_evaluations_.add(static_cast<std::uint64_t>(tail.evaluations));
   sum.add(tail.value);
   return sum.value();
 }

@@ -109,6 +109,7 @@ class SweepEvaluator {
   double mean_ = 0.0;
   double b0_ = 0.0;  ///< pi->zero_below(), hoisted
   std::int64_t direct_budget_ = 0;
+  std::int64_t head_terms_ = 0;  ///< core::hybrid_head_terms, hoisted
   /// Step-utility threshold (Rigid b̂, or 1.0 for the PiecewiseLinear
   /// rigid-degenerate case); nullopt for everything else.
   std::optional<double> indicator_threshold_;
@@ -116,6 +117,8 @@ class SweepEvaluator {
   obs::Counter batch_terms_;
   obs::Counter batch_calls_;
   obs::Counter prefix_hits_;
+  obs::Counter tail_calls_;
+  obs::Counter tail_evaluations_;
 };
 
 }  // namespace bevr::kernels

@@ -51,6 +51,13 @@ class UtilityFunction {
   /// false so k_max() uses an exhaustive scan instead of ternary search.
   [[nodiscard]] virtual bool unimodal_total_utility() const { return true; }
 
+  /// True when π is infinitely differentiable on (0, ∞), so the terms
+  /// P(k)·k·π(C/k) of a model series sample a smooth function of k and
+  /// a hybrid sum may take a short head and the Euler–Maclaurin-
+  /// corrected tail (core/series_tail.h). Step and kinked utilities,
+  /// and by default any other, return false.
+  [[nodiscard]] virtual bool smooth() const { return false; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -62,6 +69,7 @@ class Elastic final : public UtilityFunction {
   void value_batch(std::span<const double> bandwidth,
                    std::span<double> out) const override;
   [[nodiscard]] bool inelastic() const override { return false; }
+  [[nodiscard]] bool smooth() const override { return true; }
   [[nodiscard]] std::string name() const override { return "Elastic"; }
 };
 
@@ -97,6 +105,7 @@ class AdaptiveExp final : public UtilityFunction {
   void value_batch(std::span<const double> bandwidth,
                    std::span<double> out) const override;
   [[nodiscard]] bool inelastic() const override { return true; }
+  [[nodiscard]] bool smooth() const override { return true; }
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] double kappa() const { return kappa_; }

@@ -117,25 +117,6 @@ TEST(VariableLoadModel, BlockingFractionMatchesDirectSum) {
   EXPECT_NEAR(model.blocking_fraction(c), direct, 1e-9);
 }
 
-TEST(VariableLoadModel, HybridTailMatchesDirectSummation) {
-  // Force the integral-tail path with a tiny direct budget and compare
-  // against the pure direct evaluation on the algebraic load.
-  const auto load = make_load("algebraic");
-  const auto pi = make_utility("adaptive");
-  VariableLoadModel::Options small_budget;
-  small_budget.direct_budget = 2048;
-  const VariableLoadModel hybrid(load, pi, small_budget);
-  VariableLoadModel::Options big_budget;
-  big_budget.direct_budget = 50'000'000;
-  const VariableLoadModel direct(load, pi, big_budget);
-  for (const double c : {50.0, 100.0, 400.0}) {
-    EXPECT_NEAR(hybrid.best_effort(c), direct.best_effort(c), 2e-9)
-        << "C=" << c;
-    EXPECT_NEAR(hybrid.reservation(c), direct.reservation(c), 2e-9)
-        << "C=" << c;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Property sweeps over the paper's full 6-case grid × capacities.
 
