@@ -34,7 +34,8 @@ int usage(const char* argv0, const char* error) {
       "  --reps N     timed repetitions per suite (default 1)\n"
       "  --json-out   artifact path (default BENCH_<suite>.json in CWD)\n"
       "  --baseline   compare this run's medians against a prior artifact;\n"
-      "               exit 3 when any suite regressed beyond the threshold\n"
+      "               exit 3 when any suite regressed beyond the threshold,\n"
+      "               2 when the baseline is dirty or has < 5 reps\n"
       "  --threshold  allowed fractional median growth (default 0.25)\n"
       "  --compare    compare an existing artifact FILE against --baseline\n"
       "               without running anything\n"
@@ -75,6 +76,17 @@ bool read_file(const std::string& path, std::string& out) {
   buffer << file.rdbuf();
   out = buffer.str();
   return true;
+}
+
+/// The gate compares only against a clean baseline with enough
+/// repetitions (bench::baseline_refusal); says why on stderr otherwise.
+bool admissible_baseline(const char* argv0, const std::string& path,
+                         const std::string& text) {
+  const std::string refusal = baseline_refusal(text);
+  if (refusal.empty()) return true;
+  std::fprintf(stderr, "%s: refusing baseline '%s': %s\n", argv0,
+               path.c_str(), refusal.c_str());
+  return false;
 }
 
 void print_summary(const std::vector<BenchmarkResult>& results) {
@@ -203,6 +215,7 @@ int bench_main(int argc, char** argv) try {
                    compare_path.c_str());
       return 2;
     }
+    if (!admissible_baseline(argv[0], baseline_path, baseline_text)) return 2;
     const CompareReport report =
         compare_artifacts(baseline_text, current_text, threshold);
     std::fputs(report.render().c_str(), stdout);
@@ -278,6 +291,7 @@ int bench_main(int argc, char** argv) try {
                    baseline_path.c_str());
       return 2;
     }
+    if (!admissible_baseline(argv[0], baseline_path, baseline_text)) return 2;
     const CompareReport report =
         compare_artifacts(baseline_text, artifact, threshold);
     std::fputs(report.render().c_str(), stdout);

@@ -13,17 +13,20 @@ namespace bevr::bench {
 
 namespace {
 
+json::ValuePtr parse_artifact(const std::string& document,
+                              const char* label) {
+  try {
+    return json::parse(document);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(std::string(label) + " artifact: " +
+                             error.what());
+  }
+}
+
 /// name → median_ns for every suite in one artifact document.
 std::map<std::string, double> suite_medians(const std::string& document,
                                             const char* label) {
-  const json::ValuePtr root = [&] {
-    try {
-      return json::parse(document);
-    } catch (const std::runtime_error& error) {
-      throw std::runtime_error(std::string(label) + " artifact: " +
-                               error.what());
-    }
-  }();
+  const json::ValuePtr root = parse_artifact(document, label);
   const auto require = [&](const json::ValuePtr& value,
                            const char* what) -> json::ValuePtr {
     if (!value) {
@@ -61,6 +64,31 @@ std::map<std::string, double> suite_medians(const std::string& document,
 }
 
 }  // namespace
+
+std::string baseline_refusal(const std::string& baseline_json) {
+  const json::ValuePtr root = parse_artifact(baseline_json, "baseline");
+  const json::ValuePtr provenance = root->get("provenance");
+  const json::ValuePtr git = provenance ? provenance->get("git") : nullptr;
+  const json::ValuePtr reps =
+      provenance ? provenance->get("repetitions") : nullptr;
+  if (!git || !git->is_string() || !reps || !reps->is_number()) {
+    return "no provenance.git and provenance.repetitions";
+  }
+  const std::string suffix = "-dirty";
+  if (git->string.size() >= suffix.size() &&
+      git->string.compare(git->string.size() - suffix.size(), suffix.size(),
+                          suffix) == 0) {
+    return "recorded from a dirty tree (" + git->string + ")";
+  }
+  if (reps->number < kMinBaselineRepetitions) {
+    char reason[96];
+    std::snprintf(reason, sizeof reason,
+                  "%g repetitions, fewer than %d", reps->number,
+                  kMinBaselineRepetitions);
+    return reason;
+  }
+  return "";
+}
 
 std::size_t CompareReport::regressions() const {
   std::size_t count = 0;

@@ -38,4 +38,14 @@ struct CompareReport {
                                               const std::string& current_json,
                                               double threshold);
 
+/// Fewest repetitions a baseline's medians may rest on.
+inline constexpr int kMinBaselineRepetitions = 5;
+
+/// Why the gate refuses to compare against this baseline, or "" when
+/// it accepts it. A baseline must come from a clean tree (its
+/// provenance.git carries no "-dirty" suffix) and rest on at least
+/// kMinBaselineRepetitions repetitions. Throws std::runtime_error on a
+/// malformed document, as compare_artifacts does.
+[[nodiscard]] std::string baseline_refusal(const std::string& baseline_json);
+
 }  // namespace bevr::bench

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,11 +16,14 @@
 namespace bevr::bench {
 namespace {
 
-/// A minimal valid bevr.bench.v1 artifact: suites as (name, median_ns).
+/// A minimal valid bevr.bench.v1 artifact: suites as (name, median_ns),
+/// from a clean tree at 7 repetitions unless told otherwise.
 std::string make_artifact(
-    const std::vector<std::pair<std::string, double>>& suites) {
+    const std::vector<std::pair<std::string, double>>& suites,
+    const std::string& git = "abc1234", int repetitions = 7) {
   std::string out = R"({"schema": "bevr.bench.v1", "suite": "t",)";
-  out += R"( "provenance": {}, "benchmarks": [)";
+  out += R"( "provenance": {"git": ")" + git + R"(", "repetitions": )" +
+         std::to_string(repetitions) + R"(}, "benchmarks": [)";
   for (std::size_t i = 0; i < suites.size(); ++i) {
     if (i > 0) out += ", ";
     out += R"({"name": ")" + suites[i].first + R"(", "stats": {"median_ns": )" +
@@ -135,6 +139,59 @@ TEST(BenchMainCompare, LooserThresholdPasses) {
   EXPECT_EQ(run_bench_main({"bench", "--compare", current, "--baseline",
                             baseline, "--threshold", "0.6"}),
             0);
+}
+
+TEST(BaselineGate, RefusesDirtyTreeBaseline) {
+  const std::string dirty =
+      make_artifact({{"alpha", 100.0}}, "abc1234-dirty", 7);
+  EXPECT_NE(baseline_refusal(dirty).find("dirty"), std::string::npos);
+  const std::string baseline = write_temp("bevr_gate_dirty.json", dirty);
+  const std::string current = write_temp("bevr_gate_dirty_cur.json",
+                                         make_artifact({{"alpha", 100.0}}));
+  EXPECT_EQ(run_bench_main({"bench", "--compare", current, "--baseline",
+                            baseline}),
+            2);
+}
+
+TEST(BaselineGate, RefusesBaselineUnderFiveRepetitions) {
+  EXPECT_NE(baseline_refusal(make_artifact({{"alpha", 100.0}}, "abc1234", 4))
+                .find("fewer than 5"),
+            std::string::npos);
+  const std::string baseline = write_temp(
+      "bevr_gate_reps.json", make_artifact({{"alpha", 100.0}}, "abc1234", 1));
+  const std::string current = write_temp("bevr_gate_reps_cur.json",
+                                         make_artifact({{"alpha", 100.0}}));
+  EXPECT_EQ(run_bench_main({"bench", "--compare", current, "--baseline",
+                            baseline}),
+            2);
+}
+
+TEST(BaselineGate, RefusesBaselineWithoutProvenance) {
+  const std::string bare =
+      R"({"schema": "bevr.bench.v1", "suite": "t", "provenance": {},)"
+      R"( "benchmarks": [], "metrics": {}})";
+  EXPECT_FALSE(baseline_refusal(bare).empty());
+  EXPECT_THROW((void)baseline_refusal("{"), std::runtime_error);
+}
+
+TEST(BaselineGate, AcceptsCleanBaselineAtFiveRepetitions) {
+  EXPECT_EQ(baseline_refusal(make_artifact({{"alpha", 1.0}}, "abc1234", 5)),
+            "");
+  // A tag-like describe that merely contains "dirty" is clean.
+  EXPECT_EQ(baseline_refusal(make_artifact({{"alpha", 1.0}}, "dirty-fix-1", 5)),
+            "");
+}
+
+TEST(BaselineGate, CommittedBaselinesAreAdmissible) {
+  for (const char* name : {"BENCH_smoke.json", "BENCH_service.json",
+                           "BENCH_admission.json", "BENCH_net2.json",
+                           "BENCH_obs.json"}) {
+    std::ifstream file(std::string(BEVR_BASELINE_DIR) + "/" + name);
+    ASSERT_TRUE(file) << name;
+    const std::string text((std::istreambuf_iterator<char>(file)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(baseline_refusal(text), "") << name;
+  }
 }
 
 }  // namespace
