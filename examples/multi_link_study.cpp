@@ -1,79 +1,95 @@
 // Multi-link reservation study: the paper analyses one link; this
-// example runs the full signalling substrate over a dumbbell topology
-// to show how its single-link conclusions compose. Two traffic pairs
-// share a bottleneck; we sweep the bottleneck capacity and compare the
-// measured per-pair blocking/utility with the single-link theory
-// (Erlang-B for the aggregate), then demonstrate how a utilisation
-// bound (the admission controller's safety margin) trades blocking
-// against overload protection.
+// example replays RSVP reservations over a dumbbell topology on the
+// flow engine to show how its single-link conclusions compose. Two
+// traffic pairs share a bottleneck; we sweep the bottleneck capacity
+// and compare the measured blocking/utility with the single-link
+// theory (Erlang-B for the aggregate), then demonstrate how a
+// utilisation bound (the admission controller's safety margin) trades
+// blocking against overload protection.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
-#include "bevr/net/network_sim.h"
+#include "bevr/admission/engine.h"
+#include "bevr/admission/trace.h"
+#include "bevr/net/admission.h"
+#include "bevr/net/rsvp_policy.h"
+#include "bevr/net2/topology.h"
 #include "bevr/numerics/erlang.h"
+#include "bevr/sim/rng.h"
 #include "bevr/utility/utility.h"
 
-int main() {
-  using namespace bevr;
+namespace {
 
-  // Dumbbell: a,b --- left ==bottleneck== right --- c,d (rebuilt per
-  // run since the bottleneck capacity is immutable once added).
-  const auto pi = std::make_shared<utility::AdaptiveExp>();
-  net::NetworkExperimentConfig config;
-  config.horizon = 4000.0;
+using namespace bevr;
+
+// Dumbbell: a, b --- left ==bottleneck== right --- c, d.
+constexpr net::NodeId kA = 0, kB = 1, kLeft = 2, kRight = 3, kC = 4, kD = 5;
+
+std::shared_ptr<const net2::Topology> dumbbell(double bottleneck) {
+  auto topo = std::make_shared<net2::Topology>();
+  topo->add_link(kA, kLeft, 1e6);
+  topo->add_link(kB, kLeft, 1e6);
+  topo->add_link(kLeft, kRight, bottleneck);
+  topo->add_link(kRight, kC, 1e6);
+  topo->add_link(kRight, kD, 1e6);
+  return topo;
+}
+
+/// Poisson calls at 100/s until t = 4000, unit mean holding time and
+/// unit reservations. Each call goes b->d with probability `to_bd`,
+/// else a->c, so the pairs offer independent Poisson streams.
+admission::ArrivalTrace calls(double to_bd) {
+  admission::TraceSpec spec;
+  spec.arrival_rate = 100.0;
+  spec.horizon = 4000.0;
+  const sim::Rng root(42);
+  admission::ArrivalTrace trace = admission::generate_trace(spec, root);
+  sim::Rng pick = root.split(4);  // streams 0..3 are the generator's
+  for (admission::FlowRequest& req : trace.requests) {
+    const bool bd = pick.bernoulli(to_bd);
+    req.src = bd ? kB : kA;
+    req.dst = bd ? kD : kC;
+  }
+  return trace;
+}
+
+}  // namespace
+
+int main() {
+  const utility::AdaptiveExp pi;
+  admission::EngineConfig config;
   config.warmup = 200.0;
-  config.seed = 42;
 
   std::printf("Two pairs (a->c, b->d), 50 flows/s each, unit reservations,\n");
   std::printf("sharing one bottleneck. Aggregate offered load: 100.\n\n");
-  std::printf("%12s %12s %12s %12s %12s\n", "bottleneck", "blk_pair1",
-              "blk_pair2", "erlang_b", "util_pair1");
+  std::printf("%12s %12s %12s %12s\n", "bottleneck", "blocking", "erlang_b",
+              "utility");
+  const admission::ArrivalTrace both_pairs = calls(0.5);
   for (const double capacity : {80.0, 90.0, 100.0, 110.0, 130.0}) {
-    auto run_topo = std::make_shared<net::Topology>();
-    const auto ra = run_topo->add_node("a");
-    const auto rb = run_topo->add_node("b");
-    const auto rl = run_topo->add_node("left");
-    const auto rr = run_topo->add_node("right");
-    const auto rc = run_topo->add_node("c");
-    const auto rd = run_topo->add_node("d");
-    run_topo->add_link(ra, rl, 1e6);
-    run_topo->add_link(rb, rl, 1e6);
-    run_topo->add_link(rl, rr, capacity);
-    run_topo->add_link(rr, rc, 1e6);
-    run_topo->add_link(rr, rd, 1e6);
-    const net::NetworkExperiment experiment(
-        run_topo, std::make_shared<net::ParameterBasedAdmission>(1.0),
-        {{ra, rc, 50.0, 1.0, 1.0}, {rb, rd, 50.0, 1.0, 1.0}}, pi, config);
-    const auto report = experiment.run();
-    std::printf("%12.0f %12.3f %12.3f %12.3f %12.3f\n", capacity,
-                report.pairs[0].blocking_probability,
-                report.pairs[1].blocking_probability,
+    net::RsvpPolicy policy(dumbbell(capacity),
+                           std::make_shared<net::ParameterBasedAdmission>(1.0));
+    const auto report = net::run_reservations(both_pairs, policy, pi, config);
+    std::printf("%12.0f %12.3f %12.3f %12.3f\n", capacity,
+                report.blocking_probability,
                 numerics::erlang_b(100.0,
                                    static_cast<std::int64_t>(capacity)),
-                report.pairs[0].mean_utility);
+                report.mean_utility);
   }
   std::printf("\nThe dumbbell behaves exactly like the paper's single link\n"
               "with the pairs' aggregate load: multi-hop signalling plus\n"
               "per-link admission compose cleanly (Erlang-B column).\n");
 
-  std::printf("\nUtilisation bound sweep at bottleneck 100 (offered 100):\n");
+  std::printf("\nUtilisation bound sweep at bottleneck 100 (a->c, offered "
+              "100):\n");
   std::printf("%8s %12s %14s\n", "eta", "blocking", "peak_reserved");
+  const admission::ArrivalTrace one_pair = calls(0.0);
   for (const double eta : {0.5, 0.7, 0.9, 1.0}) {
-    auto run_topo = std::make_shared<net::Topology>();
-    const auto ra = run_topo->add_node("a");
-    const auto rl = run_topo->add_node("left");
-    const auto rr = run_topo->add_node("right");
-    const auto rc = run_topo->add_node("c");
-    run_topo->add_link(ra, rl, 1e6);
-    run_topo->add_link(rl, rr, 100.0);
-    run_topo->add_link(rr, rc, 1e6);
-    const net::NetworkExperiment experiment(
-        run_topo, std::make_shared<net::ParameterBasedAdmission>(eta),
-        {{ra, rc, 100.0, 1.0, 1.0}}, pi, config);
-    const auto report = experiment.run();
-    std::printf("%8.2f %12.3f %14.1f\n", eta,
-                report.pairs[0].blocking_probability,
-                report.peak_bottleneck_reserved);
+    net::RsvpPolicy policy(dumbbell(100.0),
+                           std::make_shared<net::ParameterBasedAdmission>(eta));
+    const auto report = net::run_reservations(one_pair, policy, pi, config);
+    std::printf("%8.2f %12.3f %14.1f\n", eta, report.blocking_probability,
+                policy.peak_reserved());
   }
   std::printf("\nLower eta buys headroom (for measurement error and burst\n"
               "tolerance) at the price of blocking — the admission-control\n"

@@ -11,20 +11,19 @@
 #include "bevr/net/rsvp.h"
 #include "bevr/net/scheduler.h"
 #include "bevr/net/token_bucket.h"
+#include "bevr/net2/topology.h"
 #include "bevr/utility/utility.h"
 
 int main() {
   using namespace bevr;
 
   // Topology: two access nodes behind a shared 10-unit backbone link.
-  auto topo = std::make_shared<net::Topology>();
-  const auto alice = topo->add_node("alice");
-  const auto left = topo->add_node("edge-left");
-  const auto right = topo->add_node("edge-right");
-  const auto bob = topo->add_node("bob");
+  constexpr net::NodeId alice = 0, left = 1, right = 2, bob = 3;
+  auto topo = std::make_shared<net2::Topology>();
   topo->add_link(alice, left, 100.0);
-  const auto backbone = topo->add_link(left, right, 10.0);
+  topo->add_link(left, right, 10.0);
   topo->add_link(right, bob, 100.0);
+  const net::LinkId backbone = *topo->find_link(left, right);
 
   net::RsvpAgent agent(topo,
                        std::make_shared<net::ParameterBasedAdmission>(1.0),

@@ -4,12 +4,15 @@
 # `sanitizers` job both call this script, so the two share one list.
 #
 #   address  ASan+UBSan (build-asan): runner, sim, admission (the flow
-#            engine both admission and net2 replay through), net2,
+#            engine admission, net2 and net replay through), net2, net
+#            (RSVP signalling, admission controllers, schedulers),
 #            kernels, core, numerics, dist, utility, bench (the JSON
 #            reader, artifact writer and compare gate), service (the
 #            ticket claim path and its batched evaluations), obs (the
-#            counters, trace buffers and reports) and the golden replay
-#            at 1 thread.
+#            counters, trace buffers and reports), integration (the
+#            cross-module checks) and the golden replay at 1 thread.
+#            Only the cli suite, which runs the built binaries as
+#            subprocesses, stays outside it.
 #   thread   TSan (build-tsan): the suites with shared state — runner
 #            (pool, memo), obs (sharded registry, trace buffers),
 #            service (ticket queue, worker pool), admission (calendar
@@ -30,10 +33,10 @@ case "${LEG}" in
     BUILD=build-asan
     FLAG=ON
     SUITES=(bevr_runner_tests bevr_sim_tests bevr_admission_tests
-            bevr_net2_tests bevr_kernels_tests bevr_core_tests
-            bevr_numerics_tests bevr_dist_tests bevr_utility_tests
-            bevr_bench_tests bevr_service_tests bevr_obs_tests
-            bevr_golden_tests)
+            bevr_net2_tests bevr_net_tests bevr_kernels_tests
+            bevr_core_tests bevr_numerics_tests bevr_dist_tests
+            bevr_utility_tests bevr_bench_tests bevr_service_tests
+            bevr_obs_tests bevr_integration_tests bevr_golden_tests)
     # The golden replay's serial arm; the 4-thread arm is TSan's.
     GOLDEN_FILTER='*/1thread'
     ;;

@@ -1,8 +1,9 @@
 // The flow engine: replays one ArrivalTrace against one FlowPolicy on a
-// sim::EventQueue and reports aggregate outcomes. Both policy families
-// run on it: `run_admission` (single link, below) and
+// sim::EventQueue and reports aggregate outcomes. Every policy family
+// runs on it: `run_admission` (single link, below),
 // `net2::run_network` (a topology; a single link is its two-node case)
-// are thin adapters that differ only in the names they record under.
+// and `net::run_reservations` (RSVP signalling) are thin adapters that
+// differ only in the names they record under.
 //
 // Event choreography per request:
 //   submit ──request()──▶ admitted? ──▶ start event (token kept)

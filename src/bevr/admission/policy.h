@@ -14,13 +14,14 @@
 //                      reduced-rate counteroffer or shift its start
 //                      (malleable reservations).
 //
-// Every policy, single-link or network (net2), implements FlowPolicy,
-// the interface the one flow engine drives: `request` at submit (the
-// admission decision; calendar bookings and path grabs happen here),
-// `on_start` when an admitted flow begins service (returns the
-// bandwidth actually allocated — best effort only knows its share
-// now), `on_end` at departure and `on_cancel` at a pre-start
-// retraction (each releases what the decision holds).
+// Every policy, single-link, network (net2) or RSVP (net), implements
+// FlowPolicy, the interface the one flow engine drives: `request` at
+// submit (the admission decision; calendar bookings, path grabs and
+// RSVP reservations happen here), `on_start` when an admitted flow
+// begins service (returns the bandwidth actually allocated — best
+// effort only knows its share now), `on_end` at departure and
+// `on_cancel` at a pre-start retraction (each releases what the
+// decision holds).
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,8 @@
 //   bevr::sim      — flow-level discrete-event simulator
 //   bevr::net      — reservation-capable network substrate
 //                    (TSpec/RSpec, RSVP-style soft state,
-//                    admission control, GPS scheduling)
+//                    admission control, GPS scheduling), with
+//                    RSVP signalling replayed as a flow policy
 //   bevr::kernels  — batched sweep-evaluation kernels: flat load
 //                    tables, utility value_batch plumbing and
 //                    warm-started k_max, bit-identical to the scalar
@@ -50,13 +51,12 @@
 #include "bevr/kernels/warm_kmax.h"
 #include "bevr/net/admission.h"
 #include "bevr/net/flowspec.h"
-#include "bevr/net/network_sim.h"
 #include "bevr/net/packet_link.h"
 #include "bevr/net/packet_sched.h"
 #include "bevr/net/rsvp.h"
+#include "bevr/net/rsvp_policy.h"
 #include "bevr/net/scheduler.h"
 #include "bevr/net/token_bucket.h"
-#include "bevr/net/topology.h"
 #include "bevr/numerics/erlang.h"
 #include "bevr/obs/metrics.h"
 #include "bevr/obs/report.h"

@@ -50,8 +50,8 @@ class ParameterBasedAdmission final : public AdmissionController {
 };
 
 /// Measurement-based: measured load + R ≤ η·C. The caller maintains
-/// `measured_load` (NetworkExperiment sets each link's actual usage
-/// directly).
+/// `measured_load` (RsvpPolicy feeds each link's actual usage to its
+/// RsvpAgent).
 class MeasurementBasedAdmission final : public AdmissionController {
  public:
   explicit MeasurementBasedAdmission(double utilization_bound = 0.9);

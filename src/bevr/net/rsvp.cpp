@@ -1,13 +1,21 @@
 #include "bevr/net/rsvp.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bevr/obs/metrics.h"
 
 namespace bevr::net {
 
-RsvpAgent::RsvpAgent(std::shared_ptr<Topology> topology,
+namespace {
+
+/// Session ids start at 1, so 0 excludes no session.
+constexpr SessionId kNoSession = 0;
+
+}  // namespace
+
+RsvpAgent::RsvpAgent(std::shared_ptr<const net2::Topology> topology,
                      std::shared_ptr<const AdmissionController> admission,
                      double refresh_timeout)
     : topology_(std::move(topology)),
@@ -25,7 +33,7 @@ RsvpAgent::RsvpAgent(std::shared_ptr<Topology> topology,
 
 std::optional<SessionId> RsvpAgent::open_session(NodeId src, NodeId dst,
                                                  double now) {
-  const auto path = topology_->route(src, dst);
+  const auto path = topology_->shortest_path(src, dst);
   if (!path) return std::nullopt;
   SessionState state;
   state.path = *path;
@@ -43,17 +51,14 @@ ResvResult RsvpAgent::reserve(SessionId session, const FlowSpec& spec,
     return ResvResult::kNoPathState;
   }
   SessionState& state = it->second;
-  if (state.reserved) {
-    // Re-reservation: release the old allocation first (RSVP replaces
-    // state rather than stacking it).
-    release_links(session, state);
-    state.reserved = false;
-  }
-  // Hop-by-hop admission; all-or-nothing commit.
+  // Hop-by-hop admission; all-or-nothing commit. A re-reservation is
+  // admitted as a replacement, not a stack: each hop counts every
+  // reservation but the session's own, which stays until the new one
+  // commits over it.
   for (const LinkId lid : state.path) {
     LinkAdmissionState link_state;
     link_state.capacity = topology_->link(lid).capacity;
-    link_state.reserved_sum = reserved_on_link(lid);
+    link_state.reserved_sum = reserved_without(lid, session);
     const auto measured = measured_load_.find(lid);
     link_state.measured_load =
         measured != measured_load_.end() ? measured->second : 0.0;
@@ -121,11 +126,15 @@ void RsvpAgent::expire(double now) {
 }
 
 double RsvpAgent::reserved_on_link(LinkId link) const {
+  return reserved_without(link, kNoSession);
+}
+
+double RsvpAgent::reserved_without(LinkId link, SessionId except) const {
   const auto it = link_reservations_.find(link);
   if (it == link_reservations_.end()) return 0.0;
   double total = 0.0;
   for (const auto& [session, reservation] : it->second) {
-    total += reservation.spec.rspec.rate;
+    if (session != except) total += reservation.spec.rspec.rate;
   }
   return total;
 }
@@ -143,7 +152,17 @@ bool RsvpAgent::has_reservation(SessionId session) const {
   return it != sessions_.end() && it->second.reserved;
 }
 
+std::span<const LinkId> RsvpAgent::path(SessionId session) const {
+  const auto it = sessions_.find(session);
+  if (it == sessions_.end()) {
+    throw std::out_of_range("RsvpAgent: unknown session " +
+                            std::to_string(session));
+  }
+  return it->second.path;
+}
+
 void RsvpAgent::set_measured_load(LinkId link, double load) {
+  (void)topology_->link(link);  // throws std::out_of_range
   if (!(load >= 0.0)) {
     throw std::invalid_argument("RsvpAgent: load must be >= 0");
   }

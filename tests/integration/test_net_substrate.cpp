@@ -14,6 +14,7 @@
 #include "bevr/net/rsvp.h"
 #include "bevr/net/scheduler.h"
 #include "bevr/net/token_bucket.h"
+#include "bevr/net2/topology.h"
 #include "bevr/utility/utility.h"
 
 namespace bevr {
@@ -36,12 +37,10 @@ TEST(NetSubstrate, RsvpReproducesAnalyticKMax) {
   const auto kmax = core::k_max(rigid, capacity);
   ASSERT_TRUE(kmax.has_value());
 
-  auto topo = std::make_shared<net::Topology>();
-  const auto src = topo->add_node("src");
-  const auto mid = topo->add_node("router");
-  const auto dst = topo->add_node("dst");
-  topo->add_link(src, mid, capacity * 10.0);  // fat access link
-  topo->add_link(mid, dst, capacity);         // the bottleneck
+  constexpr net::NodeId src = 0, router = 1, dst = 2;
+  auto topo = std::make_shared<net2::Topology>();
+  topo->add_link(src, router, capacity * 10.0);  // fat access link
+  topo->add_link(router, dst, capacity);         // the bottleneck
   net::RsvpAgent agent(topo,
                        std::make_shared<net::ParameterBasedAdmission>(1.0));
   std::int64_t committed = 0;

@@ -1,21 +1,21 @@
 #include "bevr/net/rsvp.h"
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace bevr::net {
 namespace {
 
+// A two-hop line src — mid — dst; link 0 is src–mid, link 1 mid–dst.
 struct Fixture {
-  std::shared_ptr<Topology> topo = std::make_shared<Topology>();
-  NodeId src = 0, mid = 0, dst = 0;
+  static constexpr NodeId src = 0, mid = 1, dst = 2;
+  std::shared_ptr<net2::Topology> topo = std::make_shared<net2::Topology>();
   std::shared_ptr<RsvpAgent> agent;
 
   explicit Fixture(double capacity = 100.0, double timeout = 30.0) {
-    src = topo->add_node("src");
-    mid = topo->add_node("mid");
-    dst = topo->add_node("dst");
     topo->add_link(src, mid, capacity);
     topo->add_link(mid, dst, capacity);
     agent = std::make_shared<RsvpAgent>(
@@ -40,16 +40,56 @@ TEST(RsvpAgent, PathThenResvCommits) {
   EXPECT_TRUE(f.agent->has_reservation(*session));
   EXPECT_EQ(f.agent->committed_sessions(), 1u);
   // Both hops hold the reservation.
+  EXPECT_EQ(std::vector<LinkId>(f.agent->path(*session).begin(),
+                                f.agent->path(*session).end()),
+            (std::vector<LinkId>{0, 1}));
   EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(0), 5.0);
-  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(2), 5.0);
+  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(1), 5.0);
+  EXPECT_THROW((void)f.agent->path(*session + 1), std::out_of_range);
 }
 
 TEST(RsvpAgent, NoRouteNoSession) {
-  auto topo = std::make_shared<Topology>();
-  const auto a = topo->add_node("a");
-  const auto b = topo->add_node("b");  // disconnected
+  // Two components: 0–1 and 2–3.
+  auto topo = std::make_shared<net2::Topology>();
+  topo->add_link(0, 1, 1.0);
+  topo->add_link(2, 3, 1.0);
   RsvpAgent agent(topo, std::make_shared<ParameterBasedAdmission>(1.0));
-  EXPECT_FALSE(agent.open_session(a, b, 0.0).has_value());
+  EXPECT_FALSE(agent.open_session(0, 2, 0.0).has_value());
+}
+
+TEST(RsvpAgent, TypedErrorsAtTheBoundary) {
+  Fixture f;
+  // An unknown node: net2::Topology::shortest_path rejects it.
+  EXPECT_THROW((void)f.agent->open_session(f.src, 7, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)f.agent->open_session(-1, f.dst, 0.0),
+               std::invalid_argument);
+  // An unknown link is not stored silently.
+  EXPECT_THROW(f.agent->set_measured_load(2, 1.0), std::out_of_range);
+  EXPECT_THROW(f.agent->set_measured_load(-1, 1.0), std::out_of_range);
+  EXPECT_THROW(f.agent->set_measured_load(0, -1.0), std::invalid_argument);
+  EXPECT_THROW(RsvpAgent(nullptr,
+                         std::make_shared<ParameterBasedAdmission>(1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(RsvpAgent(f.topo, nullptr), std::invalid_argument);
+}
+
+TEST(RsvpAgent, OppositeDirectionsShareOneLink) {
+  // Links are undirected: a reservation books the link's one capacity
+  // whichever way the session crosses it.
+  Fixture f(/*capacity=*/10.0);
+  const auto forward = f.agent->open_session(f.src, f.dst, 0.0);
+  const auto backward = f.agent->open_session(f.dst, f.src, 0.0);
+  ASSERT_TRUE(forward && backward);
+  EXPECT_EQ(f.agent->path(*backward).size(), 2u);
+  EXPECT_EQ(f.agent->reserve(*forward, unit_flow(6.0), 0.0),
+            ResvResult::kCommitted);
+  EXPECT_EQ(f.agent->reserve(*backward, unit_flow(6.0), 0.0),
+            ResvResult::kAdmissionDenied);
+  EXPECT_EQ(f.agent->reserve(*backward, unit_flow(4.0), 0.0),
+            ResvResult::kCommitted);
+  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(0), 10.0);
+  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(1), 10.0);
 }
 
 TEST(RsvpAgent, AdmissionDenialIsAllOrNothing) {
@@ -123,10 +163,32 @@ TEST(RsvpAgent, ReservationReplacesNotStacks) {
   const auto session = f.agent->open_session(f.src, f.dst, 0.0);
   ASSERT_EQ(f.agent->reserve(*session, unit_flow(4.0), 0.0),
             ResvResult::kCommitted);
-  // Upgrade to 9: must succeed because the old 4 is released first.
+  // Upgrade to 9: must succeed because the old 4 is not counted
+  // against its own replacement.
   EXPECT_EQ(f.agent->reserve(*session, unit_flow(9.0), 0.0),
             ResvResult::kCommitted);
   EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(0), 9.0);
+}
+
+TEST(RsvpAgent, DeniedUpgradeKeepsItsReservation) {
+  // A failed modification leaves the existing reservation in place
+  // (RFC 2205).
+  Fixture f(10.0);
+  const auto session = f.agent->open_session(f.src, f.dst, 0.0);
+  ASSERT_EQ(f.agent->reserve(*session, unit_flow(4.0), 0.0),
+            ResvResult::kCommitted);
+  EXPECT_EQ(f.agent->reserve(*session, unit_flow(12.0), 0.0),
+            ResvResult::kAdmissionDenied);
+  EXPECT_TRUE(f.agent->has_reservation(*session));
+  EXPECT_EQ(f.agent->committed_sessions(), 1u);
+  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(0), 4.0);
+  EXPECT_DOUBLE_EQ(f.agent->reserved_on_link(1), 4.0);
+  // The kept 4 still counts against everyone else.
+  const auto other = f.agent->open_session(f.src, f.dst, 0.0);
+  EXPECT_EQ(f.agent->reserve(*other, unit_flow(7.0), 0.0),
+            ResvResult::kAdmissionDenied);
+  EXPECT_EQ(f.agent->reserve(*other, unit_flow(6.0), 0.0),
+            ResvResult::kCommitted);
 }
 
 TEST(RsvpAgent, ReserveWithoutPathState) {

@@ -1,7 +1,7 @@
-// The observable vocabulary of both flow-policy families, pinned: the
+// The observable vocabulary of every flow-policy family, pinned: the
 // decision-event names the trace collector records, the flight codes
 // the flight recorder records (each decision's carrying the flows in
-// service it saw), and the admission/* and net2/* counters
+// service it saw), and the admission/*, net2/* and net/* counters
 // (plus the net2 peak-link gauge) a run flushes. Traced runs and the
 // benchmark's traced flows pass count events by these names, so a
 // rename or a lost event is a behaviour change.
@@ -16,6 +16,8 @@
 #include "bevr/admission/engine.h"
 #include "bevr/admission/policy.h"
 #include "bevr/admission/trace.h"
+#include "bevr/net/admission.h"
+#include "bevr/net/rsvp_policy.h"
 #include "bevr/net2/engine.h"
 #include "bevr/net2/policy.h"
 #include "bevr/net2/topology.h"
@@ -167,6 +169,39 @@ TEST(FlowVocabulary, DecisionEventsFlightCodesAndCountersArePinned) {
                                       {"net2/offered", 15}}));
   EXPECT_EQ(network.after.gauge("net2/peak_link_count"), 1.0);
   EXPECT_EQ(net_report.offered, calls.requests.size());
+}
+
+TEST(FlowVocabulary, RsvpReservationNamesArePinned) {
+  // RSVP on a two-hop line of capacity 2, every call from node 0 to 2.
+  auto line = std::make_shared<net2::Topology>();
+  line->add_link(0, 1, 2.0);
+  line->add_link(1, 2, 2.0);
+  net::RsvpPolicy policy(line,
+                         std::make_shared<net::ParameterBasedAdmission>(1.0));
+  admission::ArrivalTrace trace;
+  trace.horizon = 10.0;
+  trace.requests = {
+      flow(0.0, 0.0, 4.0, 1.0),  // reserved
+      flow(0.5, 0.5, 4.0, 1.0),  // reserved: the line is now full
+      flow(1.0, 1.0, 1.0, 1.0),  // refused at the first hop: blocked
+      flow(5.0, 5.0, 1.0, 2.0),  // both have departed: reserved
+  };
+  for (admission::FlowRequest& req : trace.requests) req.dst = 2;
+  admission::EngineConfig engine;
+  engine.trace_seed = 31;
+  admission::FlowReport report;
+  const Observed rsvp = observe(31, trace.requests.size(), "net/", [&] {
+    report = net::run_reservations(trace, policy, utility::Rigid(1.0), engine);
+  });
+  EXPECT_EQ(rsvp.events, (Counts{{"net/block", 1}, {"net/reserve", 3}}));
+  EXPECT_EQ(rsvp.codes, (Counts{{"ADMIT", 3}, {"BLOCK", 1}}));
+  // The run flushes the first two; the agent counts the others live.
+  EXPECT_EQ(rsvp.counters, (Counts{{"net/flows/attempted", 4},
+                                   {"net/flows/blocked", 1},
+                                   {"net/reservations/denied", 1},
+                                   {"net/reservations/granted", 3}}));
+  EXPECT_EQ(report.admitted, 3u);
+  EXPECT_EQ(policy.peak_reserved(), 2.0);
 }
 
 /// The flight-recorder `a` of every ADMIT record `run` leaves for the
