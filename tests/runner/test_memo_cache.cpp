@@ -83,6 +83,29 @@ TEST(MemoCache, ConcurrentAccessIsConsistent) {
   EXPECT_GE(stats.hits, 1u);
 }
 
+// The welfare maximiser's path per scenario: a smooth (adaptive) V
+// never falls back to the full scan, a step (rigid) V always does.
+TEST(WelfarePath, AdaptiveScansCoarseToFineRigidFallsBack) {
+  const auto count = [](const char* name) {
+    return obs::MetricsRegistry::global().snapshot().counter(name);
+  };
+  for (const char* name : {"fig3_welfare_adaptive", "fig3_welfare_rigid"}) {
+    SCOPED_TRACE(name);
+    const std::uint64_t max0 = count("core/welfare/maximisations");
+    const std::uint64_t flat0 = count("core/welfare/flat_fallbacks");
+    VectorSink sink;
+    run_scenario(*ScenarioRegistry::builtin().find(name), RunOptions{}, sink);
+    const std::uint64_t maximisations = count("core/welfare/maximisations") - max0;
+    const std::uint64_t flat = count("core/welfare/flat_fallbacks") - flat0;
+    EXPECT_GT(maximisations, 0u);
+    if (std::string(name) == "fig3_welfare_adaptive") {
+      EXPECT_EQ(flat, 0u);
+    } else {
+      EXPECT_EQ(flat, maximisations);
+    }
+  }
+}
+
 CacheStats registry_counts() {
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   return CacheStats{snapshot.counter("runner/cache/hits"),
