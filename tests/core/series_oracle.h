@@ -23,6 +23,14 @@
 // Euler–Maclaurin errors lie far below that, so B and R are good to
 // about 1e-18 relative: three orders under the double-precision bound
 // they check.
+//
+// Welfare (paper §4) from the first-order condition. The totals are
+// V_B(C) = k̄·B(C) and V_m(C) = k̄·R(C) with the admission limit held at
+// m, whose slopes are Σ_k P(k)·π′(C/k) and Σ_{k≤m} P(k)·π′(C/k) +
+// P(K > m)·π′(C/m). V_R = V_{k_max(C)} = max_m V_m, since k·π(C/k) is
+// unimodal in k, so max_C V_R − p·C is the largest of the pieces'
+// maxima, and each piece's is where its slope falls through p
+// (smooth utilities only).
 #pragma once
 
 #include <algorithm>
@@ -100,6 +108,118 @@ class SeriesOracle {
     mean.add(remainder([this](Real x) { return x * weight(x); }));
     mean_ = mean.value();
     mass_beyond_ = remainder([this](Real x) { return weight(x); });
+    // Σ w(k) over the load's support: k ≥ 0, but k ≥ 1 for the
+    // algebraic load (w(0) is e^{−ν} for Poisson, 1 for exponential).
+    Accumulator mass;
+    if (load_.kind == LoadKind::kPoisson) mass.add(std::exp(-nu_ld()));
+    if (load_.kind == LoadKind::kExponential) mass.add(1.0L);
+    for (std::int64_t k = 1; k <= kDirectTerms; ++k) {
+      mass.add(w_[static_cast<std::size_t>(k)]);
+    }
+    mass.add(mass_beyond_);
+    mass_ = mass.value();
+    // above_[k] = Σ_{j>k} w(j), summed from the far end.
+    above_.resize(static_cast<std::size_t>(kDirectTerms) + 1);
+    Accumulator above;
+    above.add(mass_beyond_);
+    for (std::int64_t k = kDirectTerms; k >= 0; --k) {
+      above_[static_cast<std::size_t>(k)] = above.value();
+      if (k > 0) above.add(w_[static_cast<std::size_t>(k)]);
+    }
+  }
+
+  /// k̄ = Σ k·w(k) / Σ w(k).
+  [[nodiscard]] Real mean_load() const { return mean_ / mass_; }
+
+  /// P(K ≥ 1).
+  [[nodiscard]] Real busy_probability() const {
+    switch (load_.kind) {
+      case LoadKind::kPoisson: return 1.0L - std::exp(-nu_ld()) / mass_;
+      case LoadKind::kExponential: return 1.0L - 1.0L / mass_;
+      case LoadKind::kAlgebraic: return 1.0L;
+    }
+    return 0.0L;
+  }
+
+  /// max_b π(b)/b, where π′(b)·b = π(b), by bisection on b ∈ [2^-4, 2^6].
+  [[nodiscard]] Real best_share_value() const {
+    Real lo = 0.0625L;
+    Real hi = 64.0L;
+    for (int i = 0; i < 200 && hi - lo > 1e-30L; ++i) {
+      const Real mid = 0.5L * (lo + hi);
+      (utility_slope(mid) * mid > utility(mid) ? lo : hi) = mid;
+    }
+    const Real b = 0.5L * (lo + hi);
+    return utility(b) / b;
+  }
+
+  /// V_B(C) = k̄·B(C) and V_B′(C) = Σ_k P(k)·π′(C/k).
+  [[nodiscard]] Real total_best_effort(double capacity) const {
+    return mean_load() * best_effort(capacity);
+  }
+  /// π′ ≤ 1 for both smooth utilities, so the terms past k add at most
+  /// Σ_{j>k} w(j); the sum stops once that is below 2^-80 of it.
+  [[nodiscard]] Real total_best_effort_slope(double capacity) const {
+    const Real c = capacity;
+    Accumulator sum;
+    for (std::int64_t k = 1; k <= kDirectTerms; ++k) {
+      sum.add(w_[static_cast<std::size_t>(k)] *
+              utility_slope(c / static_cast<Real>(k)));
+      if (k % 64 == 0 && mass_above(k) < 0x1p-80L * sum.value()) {
+        return sum.value() / mass_;
+      }
+    }
+    sum.add(remainder([this, c](Real x) { return weight(x) * utility_slope(c / x); }));
+    return sum.value() / mass_;
+  }
+
+  /// V_m(C): the reservation total with the admission limit held at m
+  /// (V_R(C) = V_{k_max(C)}(C)), and its slope in C.
+  [[nodiscard]] Real total_reservation_at(double capacity, std::int64_t m) const {
+    const Real c = capacity;
+    const Real md = static_cast<Real>(m);
+    return (head_sum(capacity, m) + md * utility(c / md) * mass_above(m)) / mass_;
+  }
+  [[nodiscard]] Real total_reservation_slope(double capacity, std::int64_t m) const {
+    const Real c = capacity;
+    Accumulator sum;
+    for (std::int64_t k = 1; k <= m; ++k) {
+      sum.add(w_[static_cast<std::size_t>(k)] *
+              utility_slope(c / static_cast<Real>(k)));
+    }
+    sum.add(utility_slope(c / static_cast<Real>(m)) * mass_above(m));
+    return sum.value() / mass_;
+  }
+
+  /// A maximum of V(C) − p·C, with |V″| there.
+  struct Optimum {
+    double capacity = 0.0;
+    Real welfare = 0.0L;
+    Real curvature = 0.0L;
+  };
+
+  /// The stationary point of V_B − p·C near `guess`: a bracket grown
+  /// geometrically around it until V_B′ − p changes sign, then bisected
+  /// to 1e-10 relative (W is flat there, so C's own error enters W
+  /// squared, at 1e-20 relative). |V″| is the slope's difference
+  /// quotient over the first bracket.
+  [[nodiscard]] Optimum best_effort_optimum(double price, double guess) const {
+    Optimum opt = stationary_point(
+        [this](double x) { return total_best_effort_slope(x); }, price, guess);
+    opt.welfare = total_best_effort(opt.capacity) -
+                  static_cast<Real>(price) * opt.capacity;
+    return opt;
+  }
+
+  /// The stationary point of V_m − p·C near `guess`, as above.
+  [[nodiscard]] Optimum reservation_optimum(double price, std::int64_t m,
+                                            double guess) const {
+    Optimum opt = stationary_point(
+        [this, m](double x) { return total_reservation_slope(x, m); }, price,
+        guess);
+    opt.welfare = total_reservation_at(opt.capacity, m) -
+                  static_cast<Real>(price) * opt.capacity;
+    return opt;
   }
 
   /// k_max(C) = argmax_k k·π(C/k) (first maximiser); −1 for the
@@ -175,6 +295,58 @@ class SeriesOracle {
         return b >= static_cast<Real>(util_.param) ? 1.0L : 0.0L;
     }
     return 0.0L;
+  }
+
+  /// π′(b) of the oracle's utility (the rigid step has none).
+  [[nodiscard]] Real utility_slope(Real b) const {
+    switch (util_.kind) {
+      case UtilKind::kAdaptive: {
+        const Real kappa = util_.param;
+        const Real q = 1.0L / (kappa + b);
+        return std::exp(-b * b * q) * b * (b + 2.0L * kappa) * q * q;
+      }
+      case UtilKind::kElastic:
+        return std::exp(-b);
+      case UtilKind::kRigid:
+        throw std::logic_error("SeriesOracle: a rigid utility has no slope");
+    }
+    return 0.0L;
+  }
+
+  [[nodiscard]] Real nu_ld() const { return static_cast<Real>(load_.param); }
+
+  /// Σ_{j>k} w(j), 0 ≤ k ≤ 2^18.
+  [[nodiscard]] Real mass_above(std::int64_t k) const {
+    return above_.at(static_cast<std::size_t>(k));
+  }
+
+  /// The root of slope(C) = p near guess, for a slope falling through p:
+  /// the bracket guess·(1 ∓ w) grows 4× until it holds a sign change.
+  template <typename Slope>
+  [[nodiscard]] static Optimum stationary_point(const Slope& slope,
+                                                double price, double guess) {
+    const Real p = price;
+    double lo = guess;
+    double hi = guess;
+    Real curvature = 0.0L;
+    for (double widen = 1e-7;; widen *= 4.0) {
+      if (widen > 0.5) {
+        throw std::runtime_error("SeriesOracle: no stationary point near guess");
+      }
+      lo = guess * (1.0 - widen);
+      hi = guess * (1.0 + widen);
+      const Real at_lo = slope(lo);
+      const Real at_hi = slope(hi);
+      if (at_lo > p && at_hi < p) {
+        curvature = (at_lo - at_hi) / static_cast<Real>(hi - lo);
+        break;
+      }
+    }
+    while (hi - lo > 1e-10 * hi) {
+      const double mid = 0.5 * (lo + hi);
+      (slope(mid) > p ? lo : hi) = mid;
+    }
+    return {0.5 * (lo + hi), 0.0L, curvature};
   }
 
   /// The normalised series term f(x) = w(x)·x·π(C/x)/Σ k·w(k), whose
@@ -279,6 +451,8 @@ class SeriesOracle {
   std::vector<Real> w_;  ///< w(k) for k = 0 … 2^18 (w_[0] unused)
   Real mean_ = 0.0L;
   Real mass_beyond_ = 0.0L;  ///< Σ_{k > 2^18} w(k)
+  Real mass_ = 0.0L;         ///< Σ w(k) over the support
+  std::vector<Real> above_;  ///< above_[k] = Σ_{j>k} w(j)
 };
 
 }  // namespace bevr::oracle
